@@ -260,10 +260,7 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
                             note=f"no defect above tolerance on {pair_count} pairs")
 
     s_star = max(1.0, sup_ratio)
-    diverged = (sup_ratio > divergence.absolute_threshold
-                and (sup_below <= 0.0
-                     or sup_top >= divergence.octave_growth * sup_below))
-    if diverged:
+    if divergence.diverged(sup_ratio, sup_top, sup_below):
         quasi = fails(ratio_witness, {"s_star_estimate": s_star,
                                       "sup_top_octave": sup_top,
                                       "sup_below": sup_below})

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import axioms
 from .classify import GridSpec, classify_fn
-from .config import worker_cap
 from .dsl import eval_fn, parse_fn
 from .errors import (
     EvalError,
@@ -27,7 +26,6 @@ from .errors import (
     OutOfRange,
     ParseError,
     PlateauNotVerified,
-    PreconditionViolated,
     SourceClassViolated,
     SpaceFormatError,
     UnsupportedClass,
@@ -413,11 +411,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
-        _say(f"usage error: {err}")
-        return EXIT_USAGE
-    try:
-        worker_cap()  # validate GMETRIX_THREADS before doing any work
-    except PreconditionViolated as err:
         _say(f"usage error: {err}")
         return EXIT_USAGE
     try:

@@ -7,16 +7,11 @@ so the two modules cannot drift apart.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-from .errors import PreconditionViolated
 
 #: Relative tolerance used by float-side comparisons (monotonicity, defects,
 #: region bounds). Exact rational paths never use it.
 REL_TOL = 1e-9
-
-THREADS_ENV_VAR = "GMETRIX_THREADS"
 
 
 @dataclass(frozen=True)
@@ -31,25 +26,12 @@ class DivergenceConfig:
     absolute_threshold: float = 1e6
     octave_growth: float = 10.0
 
+    def diverged(self, sup: float, sup_top: float, sup_below: float) -> bool:
+        """Does a running sup count as divergence, given its maxima over the
+        top scale octave and over everything below it?"""
+        return (sup > self.absolute_threshold
+                and (sup_below <= 0.0
+                     or sup_top >= self.octave_growth * sup_below))
+
 
 DEFAULT_DIVERGENCE = DivergenceConfig()
-
-
-def worker_cap() -> int:
-    """Upper bound on worker-pool size, from ``GMETRIX_THREADS`` (default 1).
-
-    Present computations run single-threaded; the cap is validated and honored
-    as a ceiling so the setting is meaningful and checkable either way.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PreconditionViolated(
-            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise PreconditionViolated(
-            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return value

@@ -14,8 +14,11 @@ Grammar (whitespace insignificant, no implicit multiplication):
 Functions: min, max (two or more arguments), sqrt, exp, log1p, abs, floor,
 ceil (one argument). Rational constants are spelled with "/" (e.g. 3/4).
 Precedence from loose to tight: +-, */, unary minus, ^. At most eight piece
-branches per expression. Parse errors report 1-based line/column and what was
-expected.
+branches per expression. Operands nest at most 100 deep: the whole
+expression is at depth 1, and each parenthesis group, unary minus, "^"
+exponent, function argument, piece branch and further operator of a "+-" or
+"*/" chain puts its operand one deeper. A literal must fit a float. Parse
+errors report 1-based line/column and what was expected.
 
 Evaluation is in floats. Intermediate values may leave [0, inf) (e.g. the
 "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt of
@@ -47,6 +50,7 @@ from .errors import (
 _UNARY_FNS = ("sqrt", "exp", "log1p", "abs", "floor", "ceil")
 _VARIADIC_FNS = ("min", "max")
 _PIECE_CAP = 8
+_NESTING_CAP = 100
 
 
 # --- tokens ----------------------------------------------------------------------
@@ -91,9 +95,8 @@ def _tokenize(text: str) -> list[_Token]:
                                      expected=("a digit",))
                 while j < n and text[j].isdigit():
                     j += 1
-            lexeme = text[i:j]
-            tokens.append(_Token("NUMBER", lexeme, line, start_col,
-                                 Fraction(lexeme)))
+            tokens.append(_Token("NUMBER", text[i:j], line, start_col,
+                                 _literal(text[i:j], line, start_col)))
             col += j - i
             i = j
             continue
@@ -130,6 +133,17 @@ def _tokenize(text: str) -> list[_Token]:
         col += 1
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+def _literal(lexeme: str, line: int, col: int) -> Fraction:
+    """The exact value of a numeric literal that also fits a float."""
+    try:
+        value = Fraction(lexeme)  # ValueError past the int digit limit
+        float(value)
+    except (ValueError, OverflowError):
+        raise ParseError("numeric literal too long or too large", line, col,
+                         expected=("a number that fits a float",)) from None
+    return value
 
 
 # --- syntax tree -------------------------------------------------------------------
@@ -177,6 +191,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -191,6 +206,15 @@ class _Parser:
         return ParseError(f"unexpected {tok.describe()}", tok.line, tok.col,
                           expected=expected)
 
+    def deeper(self) -> None:
+        """One level deeper for the operand starting at the next token."""
+        self.depth += 1
+        if self.depth > _NESTING_CAP:
+            tok = self.peek()
+            raise ParseError(f"operand nested deeper than {_NESTING_CAP}",
+                             tok.line, tok.col,
+                             expected=(f"at most {_NESTING_CAP} levels",))
+
     def expect(self, kind: str, what: str) -> _Token:
         if self.peek().kind != kind:
             raise self.fail((what,))
@@ -202,25 +226,38 @@ class _Parser:
             raise self.fail(("an operator", "end of input"))
         return node
 
+    # Every nested operand is parsed by factor(), and a chain's tree nests
+    # to the left, so these three bound the depth of every later recursion.
     def expr(self) -> Node:
+        depth = self.depth
         node = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
+            self.deeper()
             node = Bin(op, node, self.term())
+        self.depth = depth
         return node
 
     def term(self) -> Node:
+        depth = self.depth
         node = self.factor()
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
+            self.deeper()
             node = Bin(op, node, self.factor())
+        self.depth = depth
         return node
 
     def factor(self) -> Node:
+        depth = self.depth
+        self.deeper()
         if self.peek().kind == "OP" and self.peek().text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth = depth
+        return node
 
     def power(self) -> Node:
         node = self.atom()

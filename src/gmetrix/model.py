@@ -426,20 +426,16 @@ def _random_ultrametric(rng: random.Random, n: int) -> DistanceTable:
 
 def _random_metric(rng: random.Random, n: int) -> DistanceTable:
     # random positive symmetric weights, then shortest-path closure
+    from .axioms import metric_closure
+
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             w = Fraction(rng.randint(4, 32), 4)  # in [1, 8]
             entries[i][j] = w
             entries[j][i] = w
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                through = entries[i][k] + entries[k][j]
-                if through < entries[i][j]:
-                    entries[i][j] = through
-    return DistanceTable(_default_points(n),
-                         tuple(tuple(row) for row in entries))
+    return metric_closure(DistanceTable(_default_points(n),
+                                        tuple(tuple(row) for row in entries)))
 
 
 def _perturb(rng: random.Random, base: DistanceTable,

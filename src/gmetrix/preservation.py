@@ -36,7 +36,6 @@ from .model import (
     Witness,
     constant_theta,
     encode_value,
-    holds,
     new_theta_table,
     random_space,
 )
@@ -85,25 +84,13 @@ def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
 
 # --- targeted preservation check ---------------------------------------------------
 
-_SOURCE_AXIOMS = {
-    # image kind -> which source axioms the input table must satisfy
-    ClassTag.METRIC: ("metric", lambda t: _metric_verdict(t)),
-    ClassTag.ULTRAMETRIC: ("ultrametric", lambda t: _ultra_verdict(t)),
-    ClassTag.WEAK_ULTRAMETRIC: ("ultrametric", lambda t: _ultra_verdict(t)),
-    ClassTag.B_METRIC: ("identity-passing", lambda t: axioms.check_identity(t)),
-    ClassTag.EXTENDED_B_METRIC: ("identity-passing",
-                                 lambda t: axioms.check_identity(t)),
+# image kind -> the kind the input table must already be; the relaxed
+# images need only the identity axiom
+_SOURCE_KIND = {
+    ClassTag.METRIC: ClassTag.METRIC,
+    ClassTag.ULTRAMETRIC: ClassTag.ULTRAMETRIC,
+    ClassTag.WEAK_ULTRAMETRIC: ClassTag.ULTRAMETRIC,
 }
-
-
-def _metric_verdict(table: DistanceTable) -> Verdict:
-    ident = axioms.check_identity(table)
-    return ident if ident.fails else axioms.check_triangle(table)
-
-
-def _ultra_verdict(table: DistanceTable) -> Verdict:
-    ident = axioms.check_identity(table)
-    return ident if ident.fails else axioms.check_ultra(table)
 
 
 def preserve_check(f: RealFn, table: DistanceTable,
@@ -117,25 +104,16 @@ def preserve_check(f: RealFn, table: DistanceTable,
     """
     if not (isinstance(target, ClassTag) and target.is_space):
         raise UnsupportedClass(f"{target!r} is not a space kind")
-    source_name, source_check = _SOURCE_AXIOMS[target]
-    source = source_check(table)
+    source_kind = _SOURCE_KIND.get(target)
+    if source_kind is None:
+        source_name, source = "identity-passing", axioms.check_identity(table)
+    else:
+        source_name = source_kind.value
+        source = axioms.verify_as(table, source_kind)
     if not source.holds:
         raise SourceClassViolated(
             f"input is not {source_name}: {source.witness.description}")
-    image = pushforward(f, table)
-    if target is ClassTag.METRIC:
-        return _metric_verdict(image)
-    if target is ClassTag.ULTRAMETRIC:
-        return _ultra_verdict(image)
-    ident = axioms.check_identity(image)
-    if ident.fails:
-        return ident
-    if target is ClassTag.WEAK_ULTRAMETRIC:
-        return holds({"C_min": axioms.optimal_weak_ultra_constant(image)})
-    if target is ClassTag.B_METRIC:
-        return holds({"s_min": axioms.optimal_b_constant(image)})
-    theta = axioms.minimal_theta(image)
-    return holds({"theta_max": theta.max_entry()})
+    return axioms.verify_as(pushforward(f, table), target)
 
 
 # --- membership ------------------------------------------------------------------
@@ -259,12 +237,9 @@ def _scan_image_triplets(f: RealFn, budget: Budget,
             sup_top = max(sup_top, constant)
         else:
             sup_below = max(sup_below, constant)
-    diverged = (sup > divergence.absolute_threshold
-                and (sup_below <= 0.0
-                     or sup_top >= divergence.octave_growth * sup_below))
     return _TripletScan(samples_used=used, sup=sup, sup_top=sup_top,
                         sup_below=sup_below, best=best, infinite=infinite,
-                        diverged=diverged)
+                        diverged=divergence.diverged(sup, sup_top, sup_below))
 
 
 def _triplet_witness(entry: tuple[Triplet, tuple[float, float, float]],

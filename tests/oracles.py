@@ -7,6 +7,7 @@ shared bug would have to be written twice to go unnoticed.
 
 from fractions import Fraction
 from itertools import permutations
+import math
 import random
 
 
@@ -48,6 +49,27 @@ def brute_minimal_theta(entries):
         if candidate > theta[i][j]:
             theta[i][j] = candidate
     return theta
+
+
+def brute_first_violation(entries, combine, theta=None):
+    """Lexicographically first (i, j, k, lhs, rhs) over all ordered triples
+    with d(i, j) > theta(i, j) * combine(d(i, k), d(k, j)), or None.
+
+    combine is "sum" or "max"; a missing theta means all ones.
+    """
+    n = len(entries)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if combine == "sum":
+                    rhs = entries[i][k] + entries[k][j]
+                else:
+                    rhs = max(entries[i][k], entries[k][j])
+                if theta is not None:
+                    rhs = theta[i][j] * rhs
+                if entries[i][j] > rhs:
+                    return i, j, k, entries[i][j], rhs
+    return None
 
 
 def brute_is_metric(entries):
@@ -99,6 +121,32 @@ def random_positive_table(n, seed, den=4, hi=16):
     for i in range(n):
         for j in range(i + 1, n):
             value = Fraction(rng.randint(1, hi), den)
+            entries[i][j] = value
+            entries[j][i] = value
+    return entries
+
+
+def primes_from(start, count):
+    """The first `count` primes at or above `start`, by trial division."""
+    found = []
+    candidate = start
+    while len(found) < count:
+        if all(candidate % d for d in range(2, math.isqrt(candidate) + 1)):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def random_prime_table(n, seed):
+    """Symmetric zero-diagonal table in (0, 10] whose entries have distinct
+    prime denominators near 10^6, so their common denominator is huge."""
+    rng = random.Random(f"oracle-prime-table|{n}|{seed}")
+    primes = iter(rng.sample(primes_from(10 ** 6, 4 * n * n), n * n))
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = next(primes)
+            value = Fraction(rng.randint(1, 10 * p), p)
             entries[i][j] = value
             entries[j][i] = value
     return entries

@@ -15,6 +15,7 @@ from gmetrix import (
     constant_theta,
     minimal_theta,
     new_distance_table,
+    new_theta_table,
     optimal_b_constant,
     optimal_weak_ultra_constant,
     verify_as,
@@ -23,10 +24,12 @@ from gmetrix.errors import IdentityFails, PointSetMismatch, UnsupportedKind
 
 from oracles import (
     brute_b_constant,
+    brute_first_violation,
     brute_minimal_theta,
     brute_weak_ultra_constant,
     ordered_triples,
     random_positive_table,
+    random_prime_table,
 )
 
 
@@ -130,6 +133,49 @@ def test_constants_match_oracle_sampled(n):
         for i in range(n):
             for j in range(n):
                 assert theta.entry(i, j) == expected[i][j]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_constants_match_oracle_prime_denominators(n):
+    for seed in range(6):
+        entries = random_prime_table(n, seed)
+        table = table_from(entries)
+        assert optimal_b_constant(table) == brute_b_constant(entries)
+        assert (optimal_weak_ultra_constant(table)
+                == brute_weak_ultra_constant(entries))
+        theta = minimal_theta(table)
+        assert [list(row) for row in theta.entries] == brute_minimal_theta(entries)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_witnesses_name_the_first_violation(n):
+    failures = 0
+    for seed in range(6):
+        entries = random_prime_table(n, seed)
+        table = table_from(entries)
+        # halfway between 1 and the minimal bound: too small wherever the
+        # minimal bound exceeds 1
+        shrunk = [[(1 + t) / 2 for t in row]
+                  for row in brute_minimal_theta(entries)]
+        cases = (
+            (check_triangle(table), brute_first_violation(entries, "sum")),
+            (check_ultra(table), brute_first_violation(entries, "max")),
+            (check_extended_b(table, new_theta_table(table.points, shrunk)),
+             brute_first_violation(entries, "sum", shrunk)),
+        )
+        for verdict, expected in cases:
+            if expected is None:
+                assert verdict.holds
+                continue
+            failures += 1
+            i, j, k, lhs, rhs = expected
+            witness = verdict.witness
+            assert verdict.fails
+            assert (witness.data["i"], witness.data["j"],
+                    witness.data["k"]) == (i, j, k)
+            assert witness.points == (f"p{i}", f"p{j}", f"p{k}")
+            assert (witness.lhs, witness.rhs) == (lhs, rhs)
+    assert failures >= 12
 
 
 def test_minimal_theta_dominates_and_is_tight():

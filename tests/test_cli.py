@@ -67,6 +67,14 @@ def test_bad_expression_reports_position(capsys):
     assert "line 1, column 2" in err
 
 
+@pytest.mark.parametrize("source", ["(" * 500 + "x" + ")" * 500,
+                                    "1" + "0" * 400])
+def test_hostile_expression_is_a_usage_error(capsys, source):
+    code, _, err = run(capsys, "fn", "eval", source, "--at", "1")
+    assert code == 64
+    assert "expression error" in err and "line 1, column" in err
+
+
 def test_fn_classify(capsys):
     code, doc, _ = run(capsys, "fn", "classify", "sqrt(x)",
                        "--x-max", "10", "--points", "500")
@@ -257,16 +265,6 @@ def test_region_check_without_plateau_is_undecidable(capsys):
                        "--a", "1", "--b", "1", "--n", "3")
     assert code == 2
     assert "undecidable input" in err
-
-
-def test_thread_env_var_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("GMETRIX_THREADS", "0")
-    code, _, err = run(capsys, "realize", "3", "4", "5")
-    assert code == 64
-    assert "GMETRIX_THREADS" in err
-    monkeypatch.setenv("GMETRIX_THREADS", "4")
-    code, _, _ = run(capsys, "realize", "3", "4", "5")
-    assert code == 0
 
 
 def test_stdout_is_json_only(capsys):

@@ -113,6 +113,43 @@ def test_piece_cap():
     assert "piece branches" in str(excinfo.value)
 
 
+NESTING_CAP = 100
+
+# each builder puts an operand at depth d (the whole expression is depth 1);
+# at depth cap + 1 the parser must name that operand's first token
+NESTINGS = {
+    "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1),
+                    NESTING_CAP + 1),
+    "unary-minus": (lambda d: "-" * (d - 1) + "x", NESTING_CAP + 1),
+    "power-chain": (lambda d: "1^" * (d - 1) + "x", 2 * NESTING_CAP + 1),
+    "function-arguments": (lambda d: "min(x, " * (d - 1) + "1" + ")" * (d - 1),
+                           7 * NESTING_CAP - 2),
+    "sum-chain": (lambda d: "x" + " + x" * (d - 1), 4 * NESTING_CAP + 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_cap(shape):
+    build, column = NESTINGS[shape]
+    eval_fn(parse_fn(build(NESTING_CAP)), 0.0)  # exactly at the cap
+    with pytest.raises(ParseError) as excinfo:
+        parse_fn(build(NESTING_CAP + 1))
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+    assert f"nested deeper than {NESTING_CAP}" in str(excinfo.value)
+
+
+def test_literal_must_fit_a_float():
+    assert eval_fn(parse_fn("1" + "0" * 308), 0.0) == 1e308
+    with pytest.raises(ParseError) as excinfo:
+        parse_fn("x + 1" + "0" * 400)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
+    assert "numeric literal too long or too large" in str(excinfo.value)
+    # past the interpreter's int digit limit, where there is one
+    with pytest.raises(ParseError) as excinfo:
+        parse_fn("x +\n " + "1" * 5000)
+    assert (excinfo.value.line, excinfo.value.column) == (2, 2)
+
+
 def test_precedence_and_associativity():
     assert eval_fn(parse_fn("2 + 3 * 4"), 0) == 14.0
     assert eval_fn(parse_fn("2 * 3 ^ 2"), 0) == 18.0
