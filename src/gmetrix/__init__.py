@@ -6,6 +6,8 @@ relaxation constants are exact; function analysis runs on float grids and
 reports three-valued verdicts with witnesses.
 """
 
+from types import ModuleType as _ModuleType
+
 from .axioms import (
     check_extended_b,
     check_identity,
@@ -106,94 +108,7 @@ from .triplets import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASIS_AMENABILITY",
-    "BASIS_EB_SUFFICIENT",
-    "BASIS_QUASI",
-    "BASIS_TRIPLET_DIVERGENCE",
-    "BASIS_TRIPLET_SUFFICIENT",
-    "BoundaryStrategy",
-    "Budget",
-    "ClassTag",
-    "DEFAULT_DIVERGENCE",
-    "DEFAULT_GRID",
-    "DistanceTable",
-    "DivergenceConfig",
-    "DomainError",
-    "EvalError",
-    "FUNCTION_CATALOG",
-    "FnProfile",
-    "GmetrixError",
-    "GridSpec",
-    "GridStrategy",
-    "InvalidEntry",
-    "InvalidS",
-    "InvalidTheta",
-    "MembershipReport",
-    "MembershipStatus",
-    "NonFinite",
-    "NotATriplet",
-    "OutOfCodomain",
-    "OutOfRange",
-    "ParseError",
-    "PlanarPoint",
-    "PlateauNotVerified",
-    "PreconditionViolated",
-    "REL_TOL",
-    "RandomStrategy",
-    "RealFn",
-    "RegionReport",
-    "RegionSpec",
-    "SearchWitness",
-    "SourceClassViolated",
-    "SpaceFormatError",
-    "Status",
-    "SuiteReport",
-    "ThetaTable",
-    "Triplet",
-    "UnsupportedClass",
-    "UnsupportedKind",
-    "Verdict",
-    "Witness",
-    "canonical_dumps",
-    "check_extended_b",
-    "check_identity",
-    "check_triangle",
-    "check_ultra",
-    "classify_fn",
-    "classify_space",
-    "constant_theta",
-    "counterexample_search",
-    "dump_space",
-    "emit_region_svg",
-    "eval_exact",
-    "eval_fn",
-    "exact_capable",
-    "is_s_triplet",
-    "is_theta_triplet",
-    "is_triangle_triplet",
-    "load_space",
-    "membership",
-    "minimal_theta",
-    "new_distance_table",
-    "new_theta_table",
-    "optimal_b_constant",
-    "optimal_weak_ultra_constant",
-    "parse_fn",
-    "preserve_check",
-    "pushforward",
-    "random_space",
-    "realize_in_plane",
-    "region_bounds",
-    "region_check",
-    "render_region_svg",
-    "sample_pairs",
-    "sample_points",
-    "sample_triplets",
-    "space_from_json",
-    "space_to_json",
-    "theorem_suite",
-    "triplet_constant",
-    "verify_as",
-    "verify_plateau",
-]
+# every public name imported above, so the list cannot drift from the imports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

@@ -11,7 +11,6 @@ internal errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -59,6 +58,10 @@ EXIT_USAGE = 64
 EXIT_FILE = 66
 EXIT_INTERNAL = 70
 
+#: Largest `space random -n`: the table holds n^2 Fractions, and n = 400
+#: already takes seconds to generate.
+MAX_RANDOM_POINTS = 500
+
 _STATUS_EXIT = {
     Status.HOLDS: EXIT_HOLDS,
     Status.FAILS: EXIT_FAILS,
@@ -90,30 +93,27 @@ def _say(text: str) -> None:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """A nonnegative number whose float is finite."""
     try:
         value = Fraction(text)
+        float(value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is out of float range")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
     return value
 
 
 def _nonneg_float(text: str) -> float:
-    try:
-        value = float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
+    return float(_fraction_arg(text))
+
+
+def _positive_float(text: str) -> float:
+    value = _nonneg_float(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
     return value
 
 
@@ -124,6 +124,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
+    return value
+
+
+def _point_count(text: str) -> int:
+    value = _positive_int(text)
+    if not 2 <= value <= MAX_RANDOM_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is outside [2, {MAX_RANDOM_POINTS}]")
     return value
 
 
@@ -329,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_space_verify)
     rand = space_sub.add_parser("random", help="generate a random space")
     rand.add_argument("--kind", type=_space_tag, required=True)
-    rand.add_argument("-n", type=_positive_int, required=True,
-                      help="number of points (at least 2)")
+    rand.add_argument("-n", type=_point_count, required=True,
+                      help=f"number of points (2 to {MAX_RANDOM_POINTS})")
     rand.add_argument("--seed", type=int, required=True)
     rand.add_argument("-o", dest="out", default=None,
                       help="also write the bare space document to this file")

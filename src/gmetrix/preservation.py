@@ -13,6 +13,11 @@ Scalar divergence refutes the relaxed classes and, through the inclusion of
 ultrametric preservation in them, the ultrametric class too; for the extended
 class it stays Inconclusive because a point-dependent bound table could still
 exist.
+
+The image-triplet scan (last rung, and the search) reads plain (a, b, c)
+tuples, evaluates each entry with `eval_fn` and its checks, and scores the
+image with `triplets._constant`, the formula of `triplet_constant`. Only a
+search witness becomes a `Triplet`, to be realized in the plane.
 """
 
 from __future__ import annotations
@@ -45,11 +50,14 @@ from .triplets import (
     GridStrategy,
     PlanarPoint,
     RandomStrategy,
+    Sample,
     Triplet,
+    _constant,
     is_s_triplet,
     is_theta_triplet,
     realize_in_plane,
     sample_triplets,
+    sample_tuples,
     triplet_constant,
 )
 
@@ -185,20 +193,18 @@ class MembershipReport:
 class _TripletScan:
     samples_used: int
     sup: float
-    sup_top: float
-    sup_below: float
-    best: Optional[tuple[Triplet, tuple[float, float, float]]]
-    infinite: Optional[tuple[Triplet, tuple[float, float, float]]]
+    best: Optional[tuple[Sample, tuple[float, float, float]]]
+    infinite: Optional[tuple[Sample, tuple[float, float, float]]]
     diverged: bool
 
 
 def _mixed_triplets(seed: int, scale: float):
     """Grid sweep first, then alternating random and boundary triplets."""
-    yield from sample_triplets(GridStrategy(step=scale / 20.0, max=scale))
-    randoms = sample_triplets(RandomStrategy(seed=seed, count=10 ** 9,
-                                             scale=scale))
-    boundary = sample_triplets(BoundaryStrategy(seed=seed + 1, count=10 ** 9,
-                                                scale=scale / 2.0))
+    yield from sample_tuples(GridStrategy(step=scale / 20.0, max=scale))
+    randoms = sample_tuples(RandomStrategy(seed=seed, count=10 ** 9,
+                                           scale=scale))
+    boundary = sample_tuples(BoundaryStrategy(seed=seed + 1, count=10 ** 9,
+                                              scale=scale / 2.0))
     for r, b in zip(randoms, boundary):
         yield r
         yield b
@@ -207,13 +213,6 @@ def _mixed_triplets(seed: int, scale: float):
 def _scan_image_triplets(f: RealFn, budget: Budget,
                          divergence: DivergenceConfig) -> _TripletScan:
     scale = budget.effective_scale()
-    cache: dict[float, float] = {}
-
-    def f_at(x: float) -> float:
-        if x not in cache:
-            cache[x] = eval_fn(f, x)
-        return cache[x]
-
     sup = 0.0
     sup_top = 0.0
     sup_below = 0.0
@@ -224,32 +223,31 @@ def _scan_image_triplets(f: RealFn, budget: Budget,
     for t in islice(_mixed_triplets(budget.seed, scale),
                     budget.triplet_samples):
         used += 1
-        images = (f_at(float(t.a)), f_at(float(t.b)), f_at(float(t.c)))
-        constant = triplet_constant(Triplet(*images))
+        images = (eval_fn(f, t[0]), eval_fn(f, t[1]), eval_fn(f, t[2]))
+        constant = _constant(*images)
         if constant == math.inf:
             infinite = (t, images)
             break
-        constant = float(constant)
         if constant > sup:
             sup = constant
             best = (t, images)
-        if max(float(t.a), float(t.b), float(t.c)) > split:
+        if max(t) > split:
             sup_top = max(sup_top, constant)
         else:
             sup_below = max(sup_below, constant)
-    return _TripletScan(samples_used=used, sup=sup, sup_top=sup_top,
-                        sup_below=sup_below, best=best, infinite=infinite,
+    return _TripletScan(samples_used=used, sup=sup, best=best,
+                        infinite=infinite,
                         diverged=divergence.diverged(sup, sup_top, sup_below))
 
 
-def _triplet_witness(entry: tuple[Triplet, tuple[float, float, float]],
+def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
                      constant: float) -> Witness:
     t, images = entry
     return Witness(
-        description=(f"triangle triplet {t.as_tuple()!r} maps to "
+        description=(f"triangle triplet {t!r} maps to "
                      f"{images!r} with relaxation constant {constant!r}"),
         lhs=max(images), rhs=min(images),
-        data={"triplet": t.as_tuple(), "images": images,
+        data={"triplet": t, "images": images,
               "constant": "inf" if constant == math.inf else constant})
 
 
@@ -309,11 +307,11 @@ def membership(f: RealFn, class_tag: ClassTag,
     if scan.infinite is not None:
         # f vanishes at a positive argument, so amenability fails after all
         t, images = scan.infinite
-        zero_arg = t.b if images[1] == 0.0 else t.c
+        zero_arg = t[1] if images[1] == 0.0 else t[2]
         witness = Witness(
             description=f"f({zero_arg!r}) = 0 although x > 0",
             lhs=0.0, rhs=0.0,
-            data={"x": zero_arg, "triplet": t.as_tuple(), "images": images})
+            data={"x": zero_arg, "triplet": t, "images": images})
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
                       witness, constants,
                       "image triplet with an infinite relaxation constant")
@@ -409,9 +407,8 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
         constant = scan.sup
     else:
         return None
-    u, v, w = realize_in_plane(t)
-    a, b, c = (float(t.a), float(t.b), float(t.c))
-    return SearchWitness(triplet=(a, b, c), images=images, constant=constant,
+    u, v, w = realize_in_plane(Triplet(*t))
+    return SearchWitness(triplet=t, images=images, constant=constant,
                          u=u, v=v, w=w, samples_used=scan.samples_used,
                          seed=budget.seed)
 

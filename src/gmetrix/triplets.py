@@ -2,7 +2,10 @@
 
 A triplet (a, b, c) is three candidate side lengths. The relaxed membership
 predicates mirror the axiom checks entrywise: plain triangle conditions, one
-scalar bound s, or one bound per component.
+scalar bound s, or one bound per component. The samplers yield plain tuples
+(`sample_tuples`, which the membership scan reads) or validated `Triplet`s
+(`sample_triplets`); `_constant` is the one relaxation-constant formula, for
+`triplet_constant` and the scan alike.
 """
 
 from __future__ import annotations
@@ -76,10 +79,17 @@ def is_theta_triplet(t: Triplet, bound_a: Length, bound_b: Length,
             and c <= bound_c * (a + b))
 
 
-def _ratio(num: Length, den: Length):
-    if den == 0:
-        return math.inf if num > 0 else 0
-    return num / den
+def _constant(a, b, c, one=1.0):
+    """Smallest s >= one with each entry at most s times the sum of the
+    other two, or +inf; exact for rationals with an exact `one`."""
+    best = one
+    for num, rest in ((a, b + c), (b, a + c), (c, a + b)):
+        if rest == 0:
+            if num > 0:
+                return math.inf
+        elif num / rest > best:
+            best = num / rest
+    return best
 
 
 def triplet_constant(t: Triplet):
@@ -88,14 +98,9 @@ def triplet_constant(t: Triplet):
     Exact-mode triplets give an exact rational (so the minimality property
     `not is_s_triplet(t, s - eps)` is testable); float-mode gives a float.
     """
-    exact = t.mode == "exact"
-    a, b, c = ((Fraction(v) for v in t.as_tuple()) if exact
-               else (float(v) for v in t.as_tuple()))
-    ratios = (_ratio(a, b + c), _ratio(b, a + c), _ratio(c, a + b))
-    if any(r == math.inf for r in ratios):
-        return math.inf
-    floor = Fraction(1) if exact else 1.0
-    return max(floor, *ratios)
+    if t.mode == "exact":
+        return _constant(*map(Fraction, t.as_tuple()), one=Fraction(1))
+    return _constant(*map(float, t.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,10 @@ class BoundaryStrategy:
 
 
 Strategy = Union[GridStrategy, RandomStrategy, BoundaryStrategy]
+Sample = tuple[Length, Length, Length]
 
 
-def _grid_triplets(strategy: GridStrategy) -> Iterator[Triplet]:
+def _grid_triplets(strategy: GridStrategy) -> Iterator[Sample]:
     step, top = strategy.step, strategy.max
     count = int(top / step)  # exact for the int/Fraction case
     if isinstance(step, float) or isinstance(top, float):
@@ -181,12 +187,11 @@ def _grid_triplets(strategy: GridStrategy) -> Iterator[Triplet]:
     for a in values:
         for b in values:
             for c in values:
-                t = Triplet(a, b, c)
-                if is_triangle_triplet(t):
-                    yield t
+                if a <= b + c and b <= a + c and c <= a + b:
+                    yield (a, b, c)
 
 
-def _random_triplets(strategy: RandomStrategy) -> Iterator[Triplet]:
+def _random_triplets(strategy: RandomStrategy) -> Iterator[Sample]:
     rng = random.Random(f"triplet-random|{strategy.seed}")
     produced = 0
     while produced < strategy.count:
@@ -195,14 +200,14 @@ def _random_triplets(strategy: RandomStrategy) -> Iterator[Triplet]:
         a = rng.uniform(abs(b - c), b + c)
         if min(a, b, c) <= 0.0:
             continue
-        t = Triplet(a, b, c)
-        if not is_triangle_triplet(t):  # reject 1-ulp overshoots
-            continue
-        produced += 1
-        yield t
+        if not math.isfinite(b + c):
+            raise PreconditionViolated(f"scale {strategy.scale!r} overflows")
+        if a <= b + c and b <= a + c and c <= a + b:  # no 1-ulp overshoot
+            produced += 1
+            yield (a, b, c)
 
 
-def _boundary_triplets(strategy: BoundaryStrategy) -> Iterator[Triplet]:
+def _boundary_triplets(strategy: BoundaryStrategy) -> Iterator[Sample]:
     rng = random.Random(f"triplet-boundary|{strategy.seed}")
     produced = 0
     while produced < strategy.count:
@@ -210,13 +215,14 @@ def _boundary_triplets(strategy: BoundaryStrategy) -> Iterator[Triplet]:
         c = rng.uniform(0.0, strategy.scale)
         if b <= 0.0 or c <= 0.0:
             continue
+        if not math.isfinite(b + c):
+            raise PreconditionViolated(f"scale {strategy.scale!r} overflows")
         produced += 1
-        yield Triplet(b + c, b, c)
+        yield (b + c, b, c)
 
 
-def sample_triplets(strategy: Strategy) -> Iterator[Triplet]:
-    """Deterministic triplet stream; every emitted triplet passes the triangle
-    check and has strictly positive entries (so it is always realizable)."""
+def sample_tuples(strategy: Strategy) -> Iterator[Sample]:
+    """The stream of `sample_triplets` as plain (a, b, c) tuples."""
     if isinstance(strategy, GridStrategy):
         return _grid_triplets(strategy)
     if isinstance(strategy, RandomStrategy):
@@ -224,3 +230,9 @@ def sample_triplets(strategy: Strategy) -> Iterator[Triplet]:
     if isinstance(strategy, BoundaryStrategy):
         return _boundary_triplets(strategy)
     raise PreconditionViolated(f"unknown sampling strategy {strategy!r}")
+
+
+def sample_triplets(strategy: Strategy) -> Iterator[Triplet]:
+    """Deterministic triplet stream; every emitted triplet passes the triangle
+    check and has strictly positive entries (so it is always realizable)."""
+    return (Triplet(*t) for t in sample_tuples(strategy))

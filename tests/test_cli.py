@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gmetrix.cli import main
+from gmetrix.cli import MAX_RANDOM_POINTS, main
 
 
 def run(capsys, *argv):
@@ -43,6 +43,14 @@ def test_realize_undecidable_inputs(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [("1e400", "1", "1"), ("--", "-1", "1", "1"),
+                                  ("3", "4", "-1/2")])
+def test_realize_rejects_out_of_range_sides(capsys, argv):
+    code, _, err = run(capsys, "realize", *argv)
+    assert code == 64
+    assert "usage error" in err
+
+
 def test_fn_eval(capsys):
     code, doc, err = run(capsys, "fn", "eval", "min(x, 1)", "--at", "3")
     assert code == 0
@@ -59,6 +67,21 @@ def test_fn_eval_domain_problem_is_undecidable(capsys):
 def test_fn_eval_rejects_negative_argument(capsys):
     code, _, _ = run(capsys, "fn", "eval", "x", "--at", "-1")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "x", "--class", "B", "--x-max", "1e400"),
+    ("member", "x", "--class", "B", "--scale", "1e400"),
+    ("search", "x", "--class", "B", "--scale=-1e400"),
+    ("fn", "eval", "x", "--at", "1e400"),
+    ("fn", "classify", "x", "--plateau-b", "1e400"),
+    ("region", "check", "x", "--a", "1e400", "--b", "1", "--n", "1"),
+    ("region", "check", "x", "--a", "1", "--b", "1e400", "--n", "1"),
+])
+def test_numeric_flag_overflow_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert "out of float range" in err
 
 
 def test_bad_expression_reports_position(capsys):
@@ -162,6 +185,15 @@ def test_space_random_rejects_function_class_kind(capsys):
     code, _, _ = run(capsys, "space", "random", "--kind", "MB",
                      "-n", "4", "--seed", "1")
     assert code == 64
+
+
+@pytest.mark.parametrize("n", ["1", "0", str(MAX_RANDOM_POINTS + 1)])
+def test_space_random_point_count_is_bounded(capsys, n):
+    # rejected while parsing the flags, before any table is allocated
+    code, _, err = run(capsys, "space", "random", "--kind", "metric",
+                       "-n", n, "--seed", "1")
+    assert code == 64
+    assert "usage error" in err
 
 
 def test_preserve_paths(capsys, tmp_path):
