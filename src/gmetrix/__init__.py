@@ -21,6 +21,7 @@ from .axioms import (
 )
 from .classify import (
     DEFAULT_GRID,
+    REL_TOL,
     FnProfile,
     GridSpec,
     classify_fn,
@@ -28,7 +29,6 @@ from .classify import (
     sample_points,
     verify_plateau,
 )
-from .config import DEFAULT_DIVERGENCE, REL_TOL, DivergenceConfig
 from .dsl import RealFn, eval_exact, eval_fn, exact_capable, parse_fn
 from .errors import (
     DomainError,

@@ -3,6 +3,11 @@
 Verdicts on this float path are evidence-level: Holds means "no violation on
 the sampled grid" (the note says so), while Fails is definitive because it
 carries a concrete witness that re-evaluates to the same violation.
+
+The numeric policy is fixed here: `REL_TOL` for float comparisons, and
+`diverged` for when a running sup of ratios counts as divergence. The pair
+ratios of `classify_fn` and the image-triplet constants of the membership
+scan both go through `diverged`, so the two screens cannot drift apart.
 """
 
 from __future__ import annotations
@@ -12,10 +17,26 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .config import DEFAULT_DIVERGENCE, REL_TOL, DivergenceConfig
 from .dsl import RealFn, eval_fn
 from .errors import PreconditionViolated
 from .model import Verdict, Witness, encode_value, fails, holds, inconclusive
+
+#: Relative tolerance used by float-side comparisons (monotonicity, defects,
+#: plateaus, region bounds). Exact rational paths never use it.
+REL_TOL = 1e-9
+
+#: A running sup counts as divergence only above this threshold, and only if
+#: it grew by `OCTAVE_GROWTH` from everything below the top scale octave.
+DIVERGENCE_THRESHOLD = 1e6
+OCTAVE_GROWTH = 10.0
+
+
+def diverged(sup: float, sup_top: float, sup_below: float) -> bool:
+    """Does a running sup count as divergence, given its maxima over the top
+    scale octave and over everything below it? Large-but-bounded functions
+    plateau across octaves and never fire."""
+    return (sup > DIVERGENCE_THRESHOLD
+            and (sup_below <= 0.0 or sup_top >= OCTAVE_GROWTH * sup_below))
 
 
 @dataclass(frozen=True)
@@ -117,8 +138,7 @@ def _geometric_tail(top: float, floor: float) -> list[float]:
     return out
 
 
-def verify_plateau(f: RealFn, b: float, *, rel_tol: float = REL_TOL
-                   ) -> Optional[tuple[float, float]]:
+def verify_plateau(f: RealFn, b: float) -> Optional[tuple[float, float]]:
     """(a, b) if f equals a = f(b) on all geometric samples in (0, b].
 
     The edge b always comes from the caller; it is never inferred from data.
@@ -128,14 +148,14 @@ def verify_plateau(f: RealFn, b: float, *, rel_tol: float = REL_TOL
     a = eval_fn(f, b)
     for x in _geometric_tail(b, b * 2.0 ** -30):
         value = eval_fn(f, x)
-        if abs(value - a) > rel_tol * max(1.0, abs(a)):
+        if abs(value - a) > REL_TOL * max(1.0, abs(a)):
             return None
     if a <= 0.0:
         return None
     return (a, b)
 
 
-def _amenability(f: RealFn, points: list[float], f_at) -> Verdict:
+def _amenability(points: list[float], f_at) -> Verdict:
     if f_at(0.0) != 0.0:
         return fails(Witness(
             description=f"f(0) = {f_at(0.0)!r} but amenability needs f(0) = 0",
@@ -192,10 +212,9 @@ def _limit_at_zero(f_at, x_max: float) -> Optional[float]:
 
 
 def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
-                plateau_b: Optional[float] = None,
-                divergence: DivergenceConfig = DEFAULT_DIVERGENCE) -> FnProfile:
+                plateau_b: Optional[float] = None) -> FnProfile:
     """Profile f on the grid: amenability, monotonicity, subadditivity, and
-    the quasi-subadditivity estimate with the shared divergence heuristic.
+    the quasi-subadditivity estimate with the shared divergence rule.
 
     Evaluation errors (domain, codomain, overflow) propagate with the
     offending x. Deterministic for fixed (f, grid): reports serialize to
@@ -209,17 +228,19 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
             cache[x] = eval_fn(f, x)
         return cache[x]
 
-    amenable = _amenability(f, points, f_at)
+    amenable = _amenability(points, f_at)
     increasing = _monotonicity(points, f_at)
 
-    # one pass over the pair schedule feeds both subadditivity views
+    # one pass over the pair schedule feeds both subadditivity views; each
+    # view keeps the (a, b, f(a), f(b), f(a + b)) of the first pair that
+    # sets its maximum, and a witness is built only for a failing verdict
     max_defect = -math.inf
-    defect_witness: Optional[Witness] = None
+    defect_at = None
     defect_violates = False
     sup_ratio = 0.0
     sup_top = 0.0      # pairs with a + b in (x_max, 2 * x_max]
     sup_below = 0.0    # pairs with a + b <= x_max
-    ratio_witness: Optional[Witness] = None
+    ratio_at = None
     pair_count = 0
     octave_split = grid.x_max
     for a, b in sample_pairs(grid, points):
@@ -229,12 +250,7 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
         defect = fab - fa - fb
         if defect > max_defect:
             max_defect = defect
-            defect_witness = Witness(
-                description=(f"f({a!r} + {b!r}) = {fab!r} > "
-                             f"{fa + fb!r} = f({a!r}) + f({b!r})"),
-                lhs=fab, rhs=fa + fb,
-                data={"a": a, "b": b, "f_a": fa, "f_b": fb, "f_sum": fab,
-                      "defect": defect})
+            defect_at = (a, b, fa, fb, fab)
         if defect > REL_TOL * max(1.0, abs(fab)):
             defect_violates = True
         denom = fa + fb
@@ -242,28 +258,37 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
             ratio = fab / denom
             if ratio > sup_ratio:
                 sup_ratio = ratio
-                ratio_witness = Witness(
-                    description=(f"f({a!r} + {b!r}) / (f({a!r}) + f({b!r})) "
-                                 f"= {ratio!r}"),
-                    lhs=fab, rhs=denom,
-                    data={"a": a, "b": b, "f_a": fa, "f_b": fb,
-                          "f_sum": fab, "ratio": ratio})
+                ratio_at = (a, b, fa, fb, fab)
             if a + b > octave_split:
                 sup_top = max(sup_top, ratio)
             else:
                 sup_below = max(sup_below, ratio)
 
     if defect_violates:
-        subadditive = fails(defect_witness, {"max_defect": max_defect})
+        a, b, fa, fb, fab = defect_at
+        witness = Witness(
+            description=(f"f({a!r} + {b!r}) = {fab!r} > "
+                         f"{fa + fb!r} = f({a!r}) + f({b!r})"),
+            lhs=fab, rhs=fa + fb,
+            data={"a": a, "b": b, "f_a": fa, "f_b": fb, "f_sum": fab,
+                  "defect": max_defect})
+        subadditive = fails(witness, {"max_defect": max_defect})
     else:
         subadditive = holds({"max_defect": max_defect},
                             note=f"no defect above tolerance on {pair_count} pairs")
 
     s_star = max(1.0, sup_ratio)
-    if divergence.diverged(sup_ratio, sup_top, sup_below):
-        quasi = fails(ratio_witness, {"s_star_estimate": s_star,
-                                      "sup_top_octave": sup_top,
-                                      "sup_below": sup_below})
+    if diverged(sup_ratio, sup_top, sup_below):
+        a, b, fa, fb, fab = ratio_at
+        witness = Witness(
+            description=(f"f({a!r} + {b!r}) / (f({a!r}) + f({b!r})) "
+                         f"= {sup_ratio!r}"),
+            lhs=fab, rhs=fa + fb,
+            data={"a": a, "b": b, "f_a": fa, "f_b": fb,
+                  "f_sum": fab, "ratio": sup_ratio})
+        quasi = fails(witness, {"s_star_estimate": s_star,
+                                "sup_top_octave": sup_top,
+                                "sup_below": sup_below})
     else:
         quasi = inconclusive(
             note=(f"largest ratio {s_star!r} on {pair_count} pairs; "

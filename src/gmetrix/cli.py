@@ -11,6 +11,7 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     PlateauNotVerified,
+    PreconditionViolated,
     SourceClassViolated,
     SpaceFormatError,
     UnsupportedClass,
@@ -227,11 +229,15 @@ def _cmd_preserve(args) -> int:
 
 
 def _budget_from(args) -> Budget:
-    return Budget(triplet_samples=args.samples,
-                  grid=GridSpec(x_max=args.x_max, n_points=args.points,
-                                seed=args.grid_seed),
-                  seed=args.seed,
-                  scale=args.scale)
+    budget = Budget(triplet_samples=args.samples,
+                    grid=GridSpec(x_max=args.x_max, n_points=args.points,
+                                  seed=args.grid_seed),
+                    seed=args.seed,
+                    scale=args.scale)
+    scale = budget.effective_scale()
+    if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
+        raise _UsageError(f"triplet scale {scale!r} overflows when doubled")
+    return budget
 
 
 def _cmd_member(args) -> int:
@@ -270,8 +276,11 @@ def _cmd_suite(args) -> int:
 
 
 def _region_spec(args) -> RegionSpec:
-    return RegionSpec(a=args.a, b=args.b, n_max=args.n,
-                      samples_per_interval=args.samples)
+    try:
+        return RegionSpec(a=args.a, b=args.b, n_max=args.n,
+                          samples_per_interval=args.samples)
+    except PreconditionViolated as err:
+        raise _UsageError(str(err)) from None
 
 
 def _cmd_region_check(args) -> int:
@@ -426,7 +435,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         _say(f"expression error: {err}")
         return EXIT_USAGE
-    except (UnsupportedKind, UnsupportedClass) as err:
+    except (_UsageError, UnsupportedKind, UnsupportedClass) as err:
         _say(f"usage error: {err}")
         return EXIT_USAGE
     except SpaceFormatError as err:

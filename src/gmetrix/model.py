@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     AsymmetricEntry,
@@ -73,9 +73,10 @@ def encode_value(value):
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline at end."""
+    """Deterministic strict JSON text: sorted keys, two-space indent, newline
+    at end; a NaN or infinite float raises ValueError."""
     return json.dumps(encode_value(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 class ClassTag(Enum):
@@ -259,12 +260,6 @@ class DistanceTable:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def pair_values(self) -> Iterator[Fraction]:
-        """Off-diagonal values once per unordered pair, row-major order."""
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield self.entries[i][j]
 
     def to_json(self):
         return {

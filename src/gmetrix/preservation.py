@@ -30,8 +30,7 @@ from itertools import islice, product
 from typing import Mapping, Optional
 
 from . import axioms
-from .classify import GridSpec, classify_fn
-from .config import DEFAULT_DIVERGENCE, DivergenceConfig
+from .classify import GridSpec, classify_fn, diverged
 from .dsl import RealFn, eval_exact, eval_fn, exact_capable, parse_fn
 from .errors import SourceClassViolated, UnsupportedClass
 from .model import (
@@ -210,8 +209,7 @@ def _mixed_triplets(seed: int, scale: float):
         yield b
 
 
-def _scan_image_triplets(f: RealFn, budget: Budget,
-                         divergence: DivergenceConfig) -> _TripletScan:
+def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
     sup = 0.0
     sup_top = 0.0
@@ -237,7 +235,7 @@ def _scan_image_triplets(f: RealFn, budget: Budget,
             sup_below = max(sup_below, constant)
     return _TripletScan(samples_used=used, sup=sup, best=best,
                         infinite=infinite,
-                        diverged=divergence.diverged(sup, sup_top, sup_below))
+                        diverged=diverged(sup, sup_top, sup_below))
 
 
 def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
@@ -252,9 +250,7 @@ def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
 
 
 def membership(f: RealFn, class_tag: ClassTag,
-               budget: Budget = Budget(),
-               divergence: DivergenceConfig = DEFAULT_DIVERGENCE
-               ) -> MembershipReport:
+               budget: Budget = Budget()) -> MembershipReport:
     """Decide (at grid evidence level) whether f belongs to a function class.
 
     Supported classes: U, DU, B, MB, EB. The metric-to-metric and
@@ -265,7 +261,7 @@ def membership(f: RealFn, class_tag: ClassTag,
         raise UnsupportedClass(
             f"membership for {getattr(class_tag, 'value', class_tag)!r} "
             "is not decidable here (supported: U, DU, B, MB, EB)")
-    profile = classify_fn(f, budget.grid, divergence=divergence)
+    profile = classify_fn(f, budget.grid)
 
     def report(status, basis, witness, constants, note):
         return MembershipReport(class_tag=class_tag, status=status,
@@ -299,7 +295,7 @@ def membership(f: RealFn, class_tag: ClassTag,
             {"s_star_estimate": s_estimate, "s": max(1.0, s_estimate)},
             "amenable, nondecreasing, and quasi-subadditive on the grid")
 
-    scan = _scan_image_triplets(f, budget, divergence)
+    scan = _scan_image_triplets(f, budget)
     constants = {"s_star_estimate": s_estimate,
                  "s_star_triplet": max(1.0, scan.sup),
                  "triplet_samples_used": scan.samples_used}
@@ -384,8 +380,7 @@ class SearchWitness:
 
 
 def counterexample_search(f: RealFn, class_tag: ClassTag,
-                          budget: Budget = Budget(),
-                          divergence: DivergenceConfig = DEFAULT_DIVERGENCE
+                          budget: Budget = Budget()
                           ) -> Optional[SearchWitness]:
     """Search sampled triangle triplets for an image that defeats every
     scalar bound (divergence across scale octaves, or an infinite constant).
@@ -398,7 +393,7 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
         raise UnsupportedClass(
             f"search for {getattr(class_tag, 'value', class_tag)!r} "
             "is not supported (supported: U, DU, B, MB, EB)")
-    scan = _scan_image_triplets(f, budget, divergence)
+    scan = _scan_image_triplets(f, budget)
     if scan.infinite is not None:
         t, images = scan.infinite
         constant = math.inf

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 from xml.sax.saxutils import escape
 
-from .classify import verify_plateau
-from .config import REL_TOL
+from .classify import REL_TOL, verify_plateau
 from .dsl import RealFn, eval_fn
 from .errors import OutOfRange, PlateauNotVerified, PreconditionViolated
 from .model import Verdict, Witness, fails, holds
@@ -39,6 +38,11 @@ class RegionSpec:
             raise PreconditionViolated("plateau edge b must be positive")
         if not (isinstance(self.n_max, int) and self.n_max >= 1):
             raise PreconditionViolated("n_max must be an integer >= 1")
+        try:
+            math.ldexp(self.a, self.n_max)
+        except OverflowError:
+            raise PreconditionViolated(
+                f"upper envelope 2^{self.n_max} * a overflows") from None
         if not (isinstance(self.samples_per_interval, int)
                 and self.samples_per_interval >= 2):
             raise PreconditionViolated("samples_per_interval must be >= 2")
@@ -52,7 +56,7 @@ def region_bounds(spec: RegionSpec, n: int) -> tuple[float, float]:
     """(lower, upper) envelope on the n-th interval (n*b, (n+1)*b]."""
     if not (isinstance(n, int) and 1 <= n <= spec.n_max):
         raise OutOfRange(f"n = {n!r} is outside 1..{spec.n_max}")
-    return (spec.a / 2.0, float(2 ** n) * spec.a)
+    return (spec.a / 2.0, math.ldexp(spec.a, n))
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,7 @@ def _interval_samples(spec: RegionSpec, n: int) -> list[float]:
     return xs
 
 
-def region_check(f: RealFn, spec: RegionSpec, *,
-                 rel_tol: float = REL_TOL) -> RegionReport:
+def region_check(f: RealFn, spec: RegionSpec) -> RegionReport:
     """Check the staircase envelope interval by interval.
 
     Raises PlateauNotVerified unless f(0) = 0 and f is constant on (0, b]
@@ -114,12 +117,12 @@ def region_check(f: RealFn, spec: RegionSpec, *,
     if eval_fn(f, 0.0) != 0.0:
         raise PlateauNotVerified(
             f"f(0) = {eval_fn(f, 0.0)!r}, expected exactly 0")
-    plateau = verify_plateau(f, spec.b, rel_tol=rel_tol)
+    plateau = verify_plateau(f, spec.b)
     if plateau is None:
         raise PlateauNotVerified(
             f"f is not constant and positive on (0, {spec.b!r}]")
     observed = plateau[0]
-    if abs(observed - spec.a) > rel_tol * max(1.0, abs(spec.a)):
+    if abs(observed - spec.a) > REL_TOL * max(1.0, abs(spec.a)):
         raise PlateauNotVerified(
             f"plateau value {observed!r} does not match declared {spec.a!r}")
 
@@ -127,8 +130,8 @@ def region_check(f: RealFn, spec: RegionSpec, *,
     violations = []
     for n in range(1, spec.n_max + 1):
         lower, upper = region_bounds(spec, n)
-        lower_slack = rel_tol * max(1.0, abs(lower))
-        upper_slack = rel_tol * max(1.0, abs(upper))
+        lower_slack = REL_TOL * max(1.0, abs(lower))
+        upper_slack = REL_TOL * max(1.0, abs(upper))
         first: Optional[Witness] = None
         for x in _interval_samples(spec, n):
             value = eval_fn(f, x)
@@ -213,7 +216,7 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
                        "#999", dash="4 4"))
     parts.append(hline("lower-bound", spec.a / 2.0, spec.b, x_span, "#06a"))
     for n in range(1, spec.n_max + 1):
-        upper = float(2 ** n) * spec.a
+        upper = region_bounds(spec, n)[1]
         parts.append(hline(f"step-{n}", min(upper, y_cap),
                            n * spec.b, (n + 1) * spec.b, "#06a"))
 
@@ -238,13 +241,12 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
     return "\n".join(parts) + "\n"
 
 
-def emit_region_svg(f: RealFn, spec: RegionSpec, path, *,
-                    rel_tol: float = REL_TOL) -> RegionReport:
+def emit_region_svg(f: RealFn, spec: RegionSpec, path) -> RegionReport:
     """Check the envelope and write the plot atomically; returns the report.
 
     Output is byte-stable for fixed (f, spec): same text, same file.
     """
-    report = region_check(f, spec, rel_tol=rel_tol)
+    report = region_check(f, spec)
     text = render_region_svg(f, spec, report)
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:

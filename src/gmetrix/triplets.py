@@ -121,17 +121,21 @@ def realize_in_plane(t: Triplet) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint]
     Places u at the origin, v at (a, 0), and w in the closed upper half plane
     with |u - w| = b and |v - w| = c. Requires strictly positive entries that
     satisfy the triangle conditions; degenerate (collinear) triplets land on
-    the x-axis.
+    the x-axis. Squares are taken of the sides divided by a power of two
+    near the largest one (exact scaling), so huge sides cannot overflow.
     """
     a, b, c = (float(v) for v in t.as_tuple())
     if min(a, b, c) <= 0:
         raise NonPositiveEntry(f"side lengths must be positive, got {t.as_tuple()}")
     if not is_triangle_triplet(Triplet(a, b, c)):
         raise NotATriplet(f"{(a, b, c)} violates the triangle conditions")
-    wx = (a * a + b * b - c * c) / (2 * a)
-    wy_sq = b * b - wx * wx
+    exponent = math.frexp(max(a, b, c))[1]
+    sa, sb, sc = (math.ldexp(v, -exponent) for v in (a, b, c))
+    wx = (sa * sa + sb * sb - sc * sc) / (2 * sa)
+    wy_sq = sb * sb - wx * wx
     wy = math.sqrt(wy_sq) if wy_sq > 0 else 0.0  # clamp float fuzz at collinear
-    return (PlanarPoint(0.0, 0.0), PlanarPoint(a, 0.0), PlanarPoint(wx, wy))
+    return (PlanarPoint(0.0, 0.0), PlanarPoint(a, 0.0),
+            PlanarPoint(math.ldexp(wx, exponent), math.ldexp(wy, exponent)))
 
 
 # --- samplers -------------------------------------------------------------------

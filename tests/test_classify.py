@@ -1,16 +1,20 @@
 """Grid profiles: amenability, monotonicity, subadditivity, divergence."""
 
+import math
+
 import pytest
 
 from gmetrix import (
-    DivergenceConfig,
     GridSpec,
+    Witness,
     canonical_dumps,
     classify_fn,
     parse_fn,
+    sample_pairs,
     sample_points,
     verify_plateau,
 )
+from gmetrix import classify
 from gmetrix.errors import PreconditionViolated
 
 GRID_10 = GridSpec(x_max=10.0, n_points=2000, seed=1)
@@ -108,10 +112,95 @@ def test_exponential_growth_diverges():
     assert f(a + b) / (f(a) + f(b)) == quasi.witness.data["ratio"]
 
 
-def test_divergence_config_is_injectable():
-    aggressive = DivergenceConfig(absolute_threshold=1.5, octave_growth=0.5)
-    profile = classify_fn(parse_fn("x^2"), GRID_10, divergence=aggressive)
-    assert profile.quasi_subadditive.fails  # ratio 2 now counts as divergent
+@pytest.mark.parametrize("sup, sup_top, sup_below, expected", [
+    (1e6, 1e6, 0.0, False),                     # at the threshold, not above
+    (math.nextafter(1e6, math.inf), 1e6, 0.0, True),
+    (2e7, 2e7, 2e6, True),                      # exactly 10x growth
+    (2e7, math.nextafter(2e7, 0.0), 2e6, False),
+    (2e6, 2e6, 0.0, True),                      # nothing below the top octave
+    (5e6, 1e6, 5e6, False),                     # the sup sits below the top
+])
+def test_divergence_rule_boundaries(sup, sup_top, sup_below, expected):
+    assert classify.diverged(sup, sup_top, sup_below) is expected
+
+
+ORACLE_GRID = GridSpec(x_max=20.0, n_points=600, seed=1)
+# plain-math twins of the profiled expressions, with the expected
+# (subadditive fails, quasi-subadditive fails); the step function ties 16
+# pairs at both maxima, so only a first-arg-max rule names the oracle's pair
+ORACLE_FNS = {
+    "x^2": (lambda x: x ** 2.0, True, False),
+    "sqrt(x)": (math.sqrt, False, False),
+    "exp(x) - 1": (lambda x: math.exp(x) - 1.0, True, True),
+    "piece(x <= 20 ? ceil(x) : 1000000000000)": (
+        lambda x: float(math.ceil(x)) if x <= 20.0 else 1e12, True, True),
+}
+
+
+def _pair_oracle(fn, grid):
+    """Both subadditivity views over the public pair schedule, each maximum
+    with the first pair that reaches it."""
+    max_defect, defect_pair, violates = -math.inf, None, False
+    sup, ratio_pair, sup_top, sup_below = 0.0, None, 0.0, 0.0
+    for a, b in sample_pairs(grid, sample_points(grid)):
+        fa, fb, fab = fn(a), fn(b), fn(a + b)
+        defect = fab - fa - fb
+        if defect > max_defect:
+            max_defect, defect_pair = defect, (a, b)
+        violates = violates or defect > 1e-9 * max(1.0, abs(fab))
+        if fa + fb > 0.0:
+            ratio = fab / (fa + fb)
+            if ratio > sup:
+                sup, ratio_pair = ratio, (a, b)
+            if a + b > grid.x_max:
+                sup_top = max(sup_top, ratio)
+            else:
+                sup_below = max(sup_below, ratio)
+    return (max_defect, defect_pair, violates,
+            sup, ratio_pair, sup_top, sup_below)
+
+
+@pytest.mark.parametrize("source", sorted(ORACLE_FNS))
+def test_profile_matches_pair_oracle(source):
+    fn, sub_fails, quasi_fails = ORACLE_FNS[source]
+    (max_defect, defect_pair, violates,
+     sup, ratio_pair, sup_top, sup_below) = _pair_oracle(fn, ORACLE_GRID)
+    assert violates is sub_fails
+    assert (sup > 1e6 and (sup_below <= 0.0
+                           or sup_top >= 10.0 * sup_below)) is quasi_fails
+
+    profile = classify_fn(parse_fn(source), ORACLE_GRID)
+    sub, quasi = profile.subadditive, profile.quasi_subadditive
+    assert sub.fails is sub_fails
+    assert sub.constants == {"max_defect": max_defect}
+    if sub_fails:
+        data = sub.witness.data
+        assert (data["a"], data["b"]) == defect_pair
+        assert data["defect"] == max_defect
+    assert quasi.fails is quasi_fails
+    if quasi_fails:
+        assert quasi.constants == {"s_star_estimate": sup,
+                                   "sup_top_octave": sup_top,
+                                   "sup_below": sup_below}
+        data = quasi.witness.data
+        assert (data["a"], data["b"]) == ratio_pair
+        assert data["ratio"] == sup
+    else:
+        assert quasi.constants == {"s_star_estimate": max(1.0, sup)}
+
+
+def test_profile_builds_only_the_witnesses_it_reports(monkeypatch):
+    built = []
+
+    def counting_witness(**fields):
+        built.append(fields)
+        return Witness(**fields)
+
+    monkeypatch.setattr(classify, "Witness", counting_witness)
+    profile = classify_fn(parse_fn("exp(x) - 1"), GRID_20)
+    # amenability and monotonicity hold; both subadditivity views fail
+    assert profile.subadditive.fails and profile.quasi_subadditive.fails
+    assert len(built) == 2
 
 
 def test_profile_json_is_byte_stable():

@@ -1,16 +1,22 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import math
 
 import pytest
 
 from gmetrix.cli import MAX_RANDOM_POINTS, main
 
 
+def _reject_constant(token):
+    raise ValueError(f"stdout holds {token}, which is not JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    doc = json.loads(captured.out) if captured.out else None
+    doc = (json.loads(captured.out, parse_constant=_reject_constant)
+           if captured.out else None)
     return code, doc, captured.err
 
 
@@ -41,6 +47,12 @@ def test_realize_undecidable_inputs(capsys):
     assert code == 2
     code, _, _ = run(capsys, "realize", "3", "x", "5")
     assert code == 64
+
+
+def test_realize_huge_sides(capsys):
+    code, doc, _ = run(capsys, "realize", "1e300", "1e300", "1e300")
+    assert code == 0
+    assert doc["points"]["w"] == pytest.approx([0.5e300, 0.75 ** 0.5 * 1e300])
 
 
 @pytest.mark.parametrize("argv", [("1e400", "1", "1"), ("--", "-1", "1", "1"),
@@ -258,6 +270,30 @@ def test_search_witness_and_absence(capsys):
     assert doc["witness"] is None
 
 
+def test_search_witness_at_huge_scale(capsys):
+    # vanishes up to 1e199, so a triplet at scale 1e200 has an infinite
+    # constant; realizing it squares sides near 1e200
+    source = "piece(x <= 1" + "0" * 199 + " ? 0 : x)"
+    code, doc, _ = run(capsys, "search", source, "--class", "B",
+                       "--scale", "1e200", "--points", "10")
+    assert code == 1
+    assert doc["witness"]["constant"] == "inf"
+    assert all(math.isfinite(coordinate)
+               for point in doc["witness"]["points"].values()
+               for coordinate in point)
+
+
+@pytest.mark.parametrize("command", ["member", "search"])
+@pytest.mark.parametrize("flags", [("--scale", "1e308"),
+                                   ("--x-max", "5e307")])
+def test_triplet_scale_whose_double_overflows_is_a_usage_error(
+        capsys, command, flags):
+    code, _, err = run(capsys, command, "x", "--class", "B", *flags,
+                       "--points", "10", "--samples", "10")
+    assert code == 64
+    assert "usage error" in err and "overflows" in err
+
+
 def test_suite_is_reproducible(capsys):
     code, doc, err = run(capsys, "suite", "--seed", "42")
     assert code == 0
@@ -290,6 +326,22 @@ def test_region_check_failure_exits_one(capsys):
     assert code == 1
     assert [item["n"] for item in doc["intervals"]
             if item["verdict"]["status"] == "fails"] == [1]
+
+
+@pytest.mark.parametrize("command", ["check", "plot"])
+@pytest.mark.parametrize("flags, message", [
+    (("--a", "1", "--n", "1030"), "overflows"),
+    (("--a", "1e20", "--n", "1000"), "overflows"),
+    (("--a", "1", "--n", "3", "--samples", "1"), "samples_per_interval"),
+])
+def test_region_spec_out_of_range_is_a_usage_error(capsys, tmp_path, command,
+                                                   flags, message):
+    out = () if command == "check" else ("-o", str(tmp_path / "r.svg"))
+    code, _, err = run(capsys, "region", command, "ceil(x)", "--b", "1",
+                       *flags, *out)
+    assert code == 64
+    assert "usage error" in err and message in err
+    assert not (tmp_path / "r.svg").exists()
 
 
 def test_region_check_without_plateau_is_undecidable(capsys):

@@ -34,6 +34,11 @@ def test_spec_validation():
         RegionSpec(a=1.0, b=1.0, n_max=0)
     with pytest.raises(PreconditionViolated):
         RegionSpec(a=1.0, b=1.0, n_max=1, samples_per_interval=1)
+    # the top envelope 2^n_max * a must stay a finite float
+    with pytest.raises(PreconditionViolated):
+        RegionSpec(a=1.0, b=1.0, n_max=1024)
+    with pytest.raises(PreconditionViolated):
+        RegionSpec(a=1e20, b=1.0, n_max=1000)
 
 
 def test_region_bounds_values():
@@ -41,6 +46,8 @@ def test_region_bounds_values():
     assert region_bounds(UNIT_SPEC, 3) == (0.5, 8.0)
     doubled = RegionSpec(a=2.0, b=1.0, n_max=5)
     assert region_bounds(doubled, 2) == (1.0, 8.0)
+    widest = RegionSpec(a=1.0, b=1.0, n_max=1023)
+    assert region_bounds(widest, 1023) == (0.5, 2.0 ** 1023)
 
 
 def test_region_bounds_range_errors():

@@ -129,6 +129,7 @@ def rel_err(observed: float, expected: float) -> float:
 
 @pytest.mark.parametrize("strategy", [
     RandomStrategy(seed=7, count=300),
+    RandomStrategy(seed=7, count=300, scale=1e300),  # squares overflow
     BoundaryStrategy(seed=7, count=200),
     GridStrategy(step=Fraction(1, 2), max=Fraction(4)),
 ])
