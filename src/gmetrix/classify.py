@@ -51,6 +51,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.x_max > 0 and math.isfinite(self.x_max)):
             raise PreconditionViolated("x_max must be positive and finite")
+        if math.isinf(2.0 * self.x_max):  # pair sums reach 2 * x_max
+            raise PreconditionViolated(
+                f"x_max {self.x_max!r} overflows when doubled")
         if self.n_points < 2:
             raise PreconditionViolated("n_points must be at least 2")
 

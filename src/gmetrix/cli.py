@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .model import (
+    MAX_SPACE_POINTS,
     ClassTag,
     Status,
     Verdict,
@@ -60,9 +61,8 @@ EXIT_USAGE = 64
 EXIT_FILE = 66
 EXIT_INTERNAL = 70
 
-#: Largest `space random -n`: the table holds n^2 Fractions, and n = 400
-#: already takes seconds to generate.
-MAX_RANDOM_POINTS = 500
+#: Largest `space random -n`; the same cap as a loaded space document's.
+MAX_RANDOM_POINTS = MAX_SPACE_POINTS
 
 _STATUS_EXIT = {
     Status.HOLDS: EXIT_HOLDS,
@@ -198,10 +198,17 @@ def _cmd_space_random(args) -> int:
     return EXIT_HOLDS
 
 
+def _grid_spec(x_max: float, points: int, seed: int) -> GridSpec:
+    try:
+        return GridSpec(x_max=x_max, n_points=points, seed=seed)
+    except PreconditionViolated as err:
+        raise _UsageError(str(err)) from None
+
+
 def _cmd_fn_classify(args) -> int:
     f = parse_fn(args.expr)
-    grid = GridSpec(x_max=args.x_max, n_points=args.points, seed=args.seed)
-    profile = classify_fn(f, grid, plateau_b=args.plateau_b)
+    profile = classify_fn(f, _grid_spec(args.x_max, args.points, args.seed),
+                          plateau_b=args.plateau_b)
     _emit(profile.to_json())
     _say(f"amenable: {profile.amenable.status.value}, "
          f"increasing: {profile.increasing.status.value}, "
@@ -230,8 +237,7 @@ def _cmd_preserve(args) -> int:
 
 def _budget_from(args) -> Budget:
     budget = Budget(triplet_samples=args.samples,
-                    grid=GridSpec(x_max=args.x_max, n_points=args.points,
-                                  seed=args.grid_seed),
+                    grid=_grid_spec(args.x_max, args.points, args.grid_seed),
                     seed=args.seed,
                     scale=args.scale)
     scale = budget.effective_scale()

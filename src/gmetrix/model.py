@@ -333,6 +333,11 @@ def constant_theta(points: Sequence[str], value: RationalLike) -> ThetaTable:
 
 # --- JSON space documents -----------------------------------------------------
 
+#: Most points a space document may name: its table holds n^2 Fractions,
+#: and the axiom checks take time of order n^3.
+MAX_SPACE_POINTS = 500
+
+
 def space_to_json(table: DistanceTable,
                   theta: Optional[ThetaTable] = None) -> dict:
     doc = table.to_json()
@@ -355,6 +360,9 @@ def space_from_json(doc) -> tuple[DistanceTable, Optional[ThetaTable]]:
     if (not isinstance(points, list)
             or not all(isinstance(p, str) for p in points)):
         raise SpaceFormatError('"points" must be a list of strings')
+    if len(points) > MAX_SPACE_POINTS:
+        raise SpaceFormatError(f"{len(points)} points exceed the cap of "
+                               f"{MAX_SPACE_POINTS}")
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise SpaceFormatError('"entries" must be a list of rows')
     # every constructor complaint about a loaded document is a document

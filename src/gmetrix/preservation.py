@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, product
 from typing import Mapping, Optional
 
@@ -249,6 +250,22 @@ def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
               "constant": "inf" if constant == math.inf else constant})
 
 
+class _Evidence:
+    """What the membership ladder reads about one function under one budget:
+    its grid profile, and the image-triplet scan, run when a rung first
+    needs it (the extended class's sufficient route never does). Deciding
+    several classes from one record computes each only once."""
+
+    def __init__(self, f: RealFn, budget: Budget):
+        self.f = f
+        self.budget = budget
+        self.profile = classify_fn(f, budget.grid)
+
+    @cached_property
+    def scan(self) -> _TripletScan:
+        return _scan_image_triplets(self.f, self.budget)
+
+
 def membership(f: RealFn, class_tag: ClassTag,
                budget: Budget = Budget()) -> MembershipReport:
     """Decide (at grid evidence level) whether f belongs to a function class.
@@ -261,13 +278,18 @@ def membership(f: RealFn, class_tag: ClassTag,
         raise UnsupportedClass(
             f"membership for {getattr(class_tag, 'value', class_tag)!r} "
             "is not decidable here (supported: U, DU, B, MB, EB)")
-    profile = classify_fn(f, budget.grid)
+    return _decide(class_tag, _Evidence(f, budget))
+
+
+def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
+    profile = evidence.profile
 
     def report(status, basis, witness, constants, note):
         return MembershipReport(class_tag=class_tag, status=status,
                                 basis=basis, witness=witness,
                                 constants=dict(constants), note=note,
-                                budget=budget, source=f.source)
+                                budget=evidence.budget,
+                                source=evidence.f.source)
 
     if profile.amenable.fails:
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
@@ -295,7 +317,7 @@ def membership(f: RealFn, class_tag: ClassTag,
             {"s_star_estimate": s_estimate, "s": max(1.0, s_estimate)},
             "amenable, nondecreasing, and quasi-subadditive on the grid")
 
-    scan = _scan_image_triplets(f, budget)
+    scan = evidence.scan
     constants = {"s_star_estimate": s_estimate,
                  "s_star_triplet": max(1.0, scan.sup),
                  "triplet_samples_used": scan.samples_used}
@@ -393,7 +415,10 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
         raise UnsupportedClass(
             f"search for {getattr(class_tag, 'value', class_tag)!r} "
             "is not supported (supported: U, DU, B, MB, EB)")
-    scan = _scan_image_triplets(f, budget)
+    return _search_witness(_scan_image_triplets(f, budget), budget.seed)
+
+
+def _search_witness(scan: _TripletScan, seed: int) -> Optional[SearchWitness]:
     if scan.infinite is not None:
         t, images = scan.infinite
         constant = math.inf
@@ -405,7 +430,7 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
     u, v, w = realize_in_plane(Triplet(*t))
     return SearchWitness(triplet=t, images=images, constant=constant,
                          u=u, v=v, w=w, samples_used=scan.samples_used,
-                         seed=budget.seed)
+                         seed=seed)
 
 
 # --- theorem suite -----------------------------------------------------------------
@@ -460,12 +485,20 @@ def _catalog_fn(name: str) -> RealFn:
     raise KeyError(name)
 
 
+def _generated_tables(kind: ClassTag, first_seed: int) -> list[DistanceTable]:
+    """Six generated tables of each size from 2 to 6 points, seeded in turn
+    from first_seed; built once and shared by every function a check runs."""
+    return [random_space(kind, n, first_seed + i)[0]
+            for i, (n, _) in enumerate(product(range(2, 7), range(6)))]
+
+
 def theorem_suite(seed: int = 0) -> SuiteReport:
     """Run the cross-checking assertions over generators and the catalog.
 
     Deterministic for a fixed seed: identical reports, byte for byte. Each
     assertion runs guarded, so a defect shows up as a failed entry instead of
-    aborting the suite.
+    aborting the suite. Within a run, each function's profile and triplet
+    scan under one budget, and each generated table, is computed once.
     """
     base = seed * 1000
     checks: list[SuiteAssertion] = []
@@ -588,11 +621,10 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         scalar_pointwise_agreement)
 
     def monotone_preserves_ultra():
+        tables = _generated_tables(ClassTag.ULTRAMETRIC, base + 300)
         for name in _MONOTONE_AMENABLE_NAMES:
             f = _catalog_fn(name)
-            for i, (n, _) in enumerate(product(range(2, 7), range(6))):
-                table, _theta = random_space(ClassTag.ULTRAMETRIC, n,
-                                             base + 300 + i)
+            for i, table in enumerate(tables):
                 image = pushforward(f, table)
                 if not axioms.check_identity(image).holds:
                     return False, {"fn": name, "space": i,
@@ -628,9 +660,9 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         }
         screened = 0
         for name, (want_b, want_eb) in expected.items():
-            f = _catalog_fn(name)
-            got_b = membership(f, ClassTag.B, budget).status
-            got_eb = membership(f, ClassTag.EB, budget).status
+            evidence = _Evidence(_catalog_fn(name), budget)
+            got_b = _decide(ClassTag.B, evidence).status
+            got_eb = _decide(ClassTag.EB, evidence).status
             if (got_b, got_eb) != (want_b, want_eb):
                 return False, {"fn": name,
                                "b": got_b.value, "eb": got_eb.value,
@@ -641,7 +673,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
                                "reason": "b membership without extended"}
             if member in (got_b, got_eb):
                 # every certified member must pass the necessary screens
-                profile = classify_fn(f, budget.grid)
+                profile = evidence.profile
                 if not profile.amenable.holds or profile.quasi_subadditive.fails:
                     return False, {"fn": name,
                                    "reason": "member fails a necessary screen"}
@@ -659,7 +691,8 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         budget = Budget(triplet_samples=6000,
                         grid=GridSpec(x_max=20.0, n_points=1200, seed=seed),
                         seed=base + 900)
-        reports = [membership(f, tag, budget)
+        evidence = _Evidence(f, budget)
+        reports = [_decide(tag, evidence)
                    for tag in (ClassTag.DU, ClassTag.B, ClassTag.MB)]
         for rep in reports:
             if rep.status is not MembershipStatus.MEMBER:
@@ -668,7 +701,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
             if rep.constants.get("s") != 2.0:
                 return False, {"class": rep.class_tag.value,
                                "s": rep.constants.get("s")}
-        witness = counterexample_search(f, ClassTag.MB, budget)
+        witness = _search_witness(evidence.scan, budget.seed)
         if witness is not None:
             return False, {"reason": "search produced a spurious witness",
                            "constant": witness.constant}
@@ -714,11 +747,10 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     def amenable_preserves_positivity():
         names = ("saturating-ratio", "unit-clamp", "square-root", "square")
+        tables = _generated_tables(ClassTag.METRIC, base + 700)
         for name in names:
             f = _catalog_fn(name)
-            for i, (n, _) in enumerate(product(range(2, 7), range(6))):
-                table, _theta = random_space(ClassTag.METRIC, n,
-                                             base + 700 + i)
+            for i, table in enumerate(tables):
                 if not axioms.check_identity(pushforward(f, table)).holds:
                     return False, {"fn": name, "space": i}
         return True, {"functions": len(names), "spaces_each": 30}

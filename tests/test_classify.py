@@ -28,6 +28,10 @@ def test_grid_spec_validation():
         GridSpec(x_max=float("inf"))
     with pytest.raises(PreconditionViolated):
         GridSpec(n_points=1)
+    # pair sums reach 2 * x_max, which must stay finite
+    with pytest.raises(PreconditionViolated, match="overflows when doubled"):
+        GridSpec(x_max=1e308)
+    assert GridSpec(x_max=8e307).x_max == 8e307
 
 
 def test_sample_points_contract():

@@ -183,6 +183,17 @@ def test_space_verify_malformed_file(capsys, tmp_path):
     assert code == 66
 
 
+@pytest.mark.parametrize("n", [MAX_RANDOM_POINTS + 1, 10 ** 5])
+def test_space_verify_rejects_an_oversized_document(capsys, tmp_path, n):
+    # no rows at all, so only the point cap can reject the document cheaply
+    doc = {"points": [f"p{i}" for i in range(n)], "entries": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "space", "verify", str(path))
+    assert code == 66
+    assert f"{n} points exceed the cap of {MAX_RANDOM_POINTS}" in err
+
+
 def test_space_verify_identity_violator_exits_one(capsys, tmp_path):
     doc = {"points": ["x", "y"], "entries": [[0, 0], [0, 0]]}
     path = tmp_path / "pseudo.json"
@@ -292,6 +303,23 @@ def test_triplet_scale_whose_double_overflows_is_a_usage_error(
                        "--points", "10", "--samples", "10")
     assert code == 64
     assert "usage error" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("fn", "classify", "x", "--points", "1"), "n_points must be at least 2"),
+    (("member", "x", "--class", "B", "--points", "1"),
+     "n_points must be at least 2"),
+    (("search", "x", "--class", "B", "--points", "1"),
+     "n_points must be at least 2"),
+    (("fn", "classify", "x", "--x-max", "1e308", "--points", "10"),
+     "x_max 1e+308 overflows when doubled"),
+    (("member", "x", "--class", "B", "--x-max", "1e308", "--scale", "1",
+      "--points", "10"), "x_max 1e+308 overflows when doubled"),
+])
+def test_grid_flags_out_of_range_are_usage_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert f"usage error: {message}" in err
 
 
 def test_suite_is_reproducible(capsys):

@@ -34,6 +34,7 @@ from gmetrix.errors import (
     SpaceFormatError,
     UnsupportedKind,
 )
+from gmetrix.model import MAX_SPACE_POINTS
 
 from oracles import brute_is_metric, brute_is_ultra
 
@@ -122,6 +123,16 @@ def test_space_json_schema_errors():
         # floats in documents are rejected just like in constructors
         space_from_json({"points": ["x", "y"],
                          "entries": [[0, 1.5], [1.5, 0]]})
+
+
+def test_space_document_point_cap():
+    # probed with empty rows: the cap rejects before any entry is converted,
+    # and at the cap the shape check is what fails
+    names = [f"p{i}" for i in range(MAX_SPACE_POINTS + 1)]
+    with pytest.raises(SpaceFormatError, match="exceed the cap of 500"):
+        space_from_json({"points": names, "entries": []})
+    with pytest.raises(SpaceFormatError, match="500 points but 0 rows"):
+        space_from_json({"points": names[:-1], "entries": []})
 
 
 def test_load_space_rejects_invalid_json(tmp_path):

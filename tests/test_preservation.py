@@ -1,6 +1,7 @@
 """Pushforwards, targeted preservation, membership, search, and the suite."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from gmetrix import (
     sample_triplets,
     theorem_suite,
 )
+from gmetrix import preservation
 from gmetrix.errors import (
     NonzeroDiagonal,
     SourceClassViolated,
@@ -244,3 +246,43 @@ def test_theorem_suite_passes_and_is_deterministic():
     assert first.all_passed, [a.id for a in first.assertions if not a.passed]
     assert canonical_dumps(first.to_json()) == canonical_dumps(second.to_json())
     assert len(first.assertions) == 12
+
+
+def test_theorem_suite_computes_each_input_once(monkeypatch):
+    calls = {name: Counter() for name in
+             ("classify_fn", "_scan_image_triplets", "random_space")}
+
+    def counting(name, key):
+        inner = getattr(preservation, name)
+
+        def wrapper(*args):
+            calls[name][key(*args)] += 1
+            return inner(*args)
+        monkeypatch.setattr(preservation, name, wrapper)
+
+    counting("classify_fn", lambda f, grid: (f.source, grid))
+    counting("_scan_image_triplets", lambda f, budget: (f.source, budget))
+    counting("random_space", lambda kind, n, seed: (kind, n, seed))
+    assert theorem_suite(seed=0).all_passed
+    # 5 + 8 + 1 profiles, 6 + 1 scans, 200 + 200 + 100 + 100 + 20 + 30 + 30
+    # tables; each distinct argument tuple exactly once
+    assert {name: (len(c), max(c.values())) for name, c in calls.items()} \
+        == {"classify_fn": (14, 1), "_scan_image_triplets": (7, 1),
+            "random_space": (680, 1)}
+
+
+@pytest.mark.parametrize("name,source", FUNCTION_CATALOG)
+def test_shared_evidence_decides_like_fresh_membership(name, source):
+    # the suite's catalog budget at seed 0
+    budget = Budget(triplet_samples=6000,
+                    grid=GridSpec(x_max=20.0, n_points=1200, seed=0),
+                    seed=800)
+    f = parse_fn(source)
+    evidence = preservation._Evidence(f, budget)
+    # the extended class first and last: before and after the scan ran
+    for tag in (ClassTag.EB, ClassTag.U, ClassTag.DU, ClassTag.B,
+                ClassTag.MB, ClassTag.EB):
+        shared = preservation._decide(tag, evidence)
+        fresh = membership(f, tag, budget)
+        assert canonical_dumps(shared.to_json()) \
+            == canonical_dumps(fresh.to_json())
