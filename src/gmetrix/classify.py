@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn, eval_fn
 from .errors import PreconditionViolated
@@ -48,6 +48,10 @@ class GridSpec:
     n_points: int = 2000
     seed: int = 1
 
+    #: Most grid points: the sample set holds them all as floats, and the
+    #: pair scans evaluate as many pairs again.
+    MAX_POINTS: ClassVar[int] = 1_000_000
+
     def __post_init__(self) -> None:
         if not (self.x_max > 0 and math.isfinite(self.x_max)):
             raise PreconditionViolated("x_max must be positive and finite")
@@ -56,6 +60,10 @@ class GridSpec:
                 f"x_max {self.x_max!r} overflows when doubled")
         if self.n_points < 2:
             raise PreconditionViolated("n_points must be at least 2")
+        if self.n_points > self.MAX_POINTS:
+            raise PreconditionViolated(
+                f"n_points {self.n_points} exceeds the cap of "
+                f"{self.MAX_POINTS}")
 
     def to_json(self):
         return {"x_max": self.x_max, "n_points": self.n_points,

@@ -11,7 +11,6 @@ internal errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .dsl import eval_fn, parse_fn
 from .errors import (
     EvalError,
     GmetrixError,
+    InvalidEntry,
     NonPositiveEntry,
     NotATriplet,
     OutOfRange,
@@ -37,6 +37,7 @@ from .model import (
     ClassTag,
     Status,
     Verdict,
+    as_rational,
     canonical_dumps,
     dump_space,
     load_space,
@@ -95,12 +96,13 @@ def _say(text: str) -> None:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    """A nonnegative number whose float is finite."""
+    """A nonnegative number whose float is finite, read as a space document's
+    entries are."""
     try:
-        value = Fraction(text)
+        value = as_rational(text)
         float(value)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    except InvalidEntry as err:
+        raise argparse.ArgumentTypeError(str(err))
     except OverflowError:
         raise argparse.ArgumentTypeError(f"{text!r} is out of float range")
     if value < 0:
@@ -198,17 +200,19 @@ def _cmd_space_random(args) -> int:
     return EXIT_HOLDS
 
 
-def _grid_spec(x_max: float, points: int, seed: int) -> GridSpec:
+def _spec(kind, **fields):
+    """Build a sampling spec from flags; its precondition is a usage error."""
     try:
-        return GridSpec(x_max=x_max, n_points=points, seed=seed)
+        return kind(**fields)
     except PreconditionViolated as err:
         raise _UsageError(str(err)) from None
 
 
 def _cmd_fn_classify(args) -> int:
     f = parse_fn(args.expr)
-    profile = classify_fn(f, _grid_spec(args.x_max, args.points, args.seed),
-                          plateau_b=args.plateau_b)
+    grid = _spec(GridSpec, x_max=args.x_max, n_points=args.points,
+                 seed=args.seed)
+    profile = classify_fn(f, grid, plateau_b=args.plateau_b)
     _emit(profile.to_json())
     _say(f"amenable: {profile.amenable.status.value}, "
          f"increasing: {profile.increasing.status.value}, "
@@ -236,14 +240,10 @@ def _cmd_preserve(args) -> int:
 
 
 def _budget_from(args) -> Budget:
-    budget = Budget(triplet_samples=args.samples,
-                    grid=_grid_spec(args.x_max, args.points, args.grid_seed),
-                    seed=args.seed,
-                    scale=args.scale)
-    scale = budget.effective_scale()
-    if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
-        raise _UsageError(f"triplet scale {scale!r} overflows when doubled")
-    return budget
+    grid = _spec(GridSpec, x_max=args.x_max, n_points=args.points,
+                 seed=args.grid_seed)
+    return _spec(Budget, triplet_samples=args.samples, grid=grid,
+                 seed=args.seed, scale=args.scale)
 
 
 def _cmd_member(args) -> int:
@@ -281,30 +281,21 @@ def _cmd_suite(args) -> int:
     return EXIT_HOLDS if report.all_passed else EXIT_FAILS
 
 
-def _region_spec(args) -> RegionSpec:
-    try:
-        return RegionSpec(a=args.a, b=args.b, n_max=args.n,
-                          samples_per_interval=args.samples)
-    except PreconditionViolated as err:
-        raise _UsageError(str(err)) from None
-
-
-def _cmd_region_check(args) -> int:
+def _cmd_region(args) -> int:
     f = parse_fn(args.expr)
-    report = region_check(f, _region_spec(args))
-    _emit(report.to_json())
-    _say(f"{sum(1 for i in report.intervals if i.verdict.holds)}"
-         f"/{len(report.intervals)} intervals hold")
-    return EXIT_HOLDS if report.all_hold else EXIT_FAILS
-
-
-def _cmd_region_plot(args) -> int:
-    f = parse_fn(args.expr)
-    report = emit_region_svg(f, _region_spec(args), args.out)
-    doc = report.to_json()
-    doc["svg"] = args.out
-    _emit(doc)
-    _say(f"wrote {args.out}")
+    spec = _spec(RegionSpec, a=args.a, b=args.b, n_max=args.n,
+                 samples_per_interval=args.samples)
+    if args.region_command == "plot":
+        report = emit_region_svg(f, spec, args.out)
+        doc = report.to_json()
+        doc["svg"] = args.out
+        _emit(doc)
+        _say(f"wrote {args.out}")
+    else:
+        report = region_check(f, spec)
+        _emit(report.to_json())
+        _say(f"{sum(1 for i in report.intervals if i.verdict.holds)}"
+             f"/{len(report.intervals)} intervals hold")
     return EXIT_HOLDS if report.all_hold else EXIT_FAILS
 
 
@@ -402,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     region = sub.add_parser("region", help="staircase envelope checks")
     region_sub = region.add_subparsers(dest="region_command", required=True)
-    for name, handler in (("check", _cmd_region_check),
-                          ("plot", _cmd_region_plot)):
+    for name in ("check", "plot"):
         rp = region_sub.add_parser(name)
         rp.add_argument("expr")
         rp.add_argument("--a", type=_positive_float, required=True,
@@ -417,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "plot":
             rp.add_argument("-o", dest="out", default="region.svg",
                             help="output SVG path (default region.svg)")
-        rp.set_defaults(handler=handler)
+        rp.set_defaults(handler=_cmd_region)
 
     real = sub.add_parser("realize",
                           help="place a triangle triplet in the plane")

@@ -24,7 +24,8 @@ Evaluation is in floats. Intermediate values may leave [0, inf) (e.g. the
 "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt of
 a negative intermediate, log1p at or below -1, a division by zero, or a
 negative base under "^" raises DomainError; overflow, inf, or NaN raises
-NonFinite; a negative final value raises OutOfCodomain.
+NonFinite (also floor or ceil of an intermediate NaN); a negative final
+value raises OutOfCodomain.
 
 Expressions built only from "+", "*", "min", "max", literals, and "x" also
 evaluate exactly over rationals (see exact_capable / eval_exact); table
@@ -456,6 +457,8 @@ def eval_fn(fn: RealFn, x) -> float:
         value = fn.runner(xf)
     except OverflowError:
         raise NonFinite(xf, "overflow during evaluation") from None
+    except ValueError:  # math.floor or math.ceil of a NaN; nothing else
+        raise NonFinite(xf, "NaN during evaluation") from None
     except ZeroDivisionError:  # safety net; guards normally catch this
         raise DomainError(xf, "division by zero") from None
     if math.isnan(value) or math.isinf(value):

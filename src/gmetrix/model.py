@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -30,21 +31,38 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or numeric string to an exact Fraction.
 
-    Floats are rejected on purpose: exactness at the core is a contract, and a
-    caller holding a float must convert deliberately.
+    Strings are those `Fraction` reads: "p/q", "1.5", "2e3" and the like. A
+    decimal exponent may have at most ``sys.get_int_max_str_digits()`` as
+    its size, the limit that plain digits already obey, since "1e999999999"
+    would build a power of ten with a billion digits. Floats are rejected on
+    purpose: exactness at the core is a contract, and a caller holding a
+    float must convert deliberately.
     """
     if isinstance(value, bool):
         raise InvalidEntry(f"not an exact rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if ("e" in value or "E" in value) and not _exponent_fits(value):
+            raise InvalidEntry(
+                f"exponent of {value!r} exceeds the int digit limit "
+                f"{sys.get_int_max_str_digits()}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise InvalidEntry(f"not an exact rational: {value!r}") from None
     raise InvalidEntry(f"not an exact rational: {value!r}")
+
+
+def _exponent_fits(text: str) -> bool:
+    limit = sys.get_int_max_str_digits()
+    exponent = text.replace("E", "e").rpartition("e")[2]
+    try:
+        return not limit or abs(int(exponent)) <= limit
+    except ValueError:  # no exponent, or one past the limit: Fraction rejects
+        return True
 
 
 def rational_to_json(value: Fraction) -> Union[int, str]:
@@ -223,36 +241,34 @@ def _validate_square(points: Sequence[str], entries) -> None:
 
 
 @dataclass(frozen=True)
-class DistanceTable:
-    """A finite symmetric table of exact nonnegative distances, zero diagonal.
-
-    The constructor enforces shape, nonnegativity, zero diagonal, and symmetry;
-    what it deliberately does not enforce is the identity axiom (off-diagonal
-    zeros are representable so the identity check has something to reject).
-    """
+class _RationalTable:
+    """The one validation of both table kinds, raising in this order: shape;
+    each entry in row-major order a Fraction of at least `_FLOOR`, else
+    `_below_floor(i, j, value)`; a zero diagonal if `_ZERO_DIAGONAL`;
+    symmetry. `_LABEL` names an entry in the messages."""
 
     points: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        _validate_square(self.points, self.entries)
-        n = len(self.points)
-        for i in range(n):
-            for j in range(n):
-                value = self.entries[i][j]
+        entries = self.entries
+        _validate_square(self.points, entries)
+        label, floor = self._LABEL, self._FLOOR
+        for i, row in enumerate(entries):
+            for j, value in enumerate(row):
                 if not isinstance(value, Fraction):
                     raise InvalidEntry(
-                        f"entries[{i}][{j}] = {value!r} is not a Fraction")
-                if value < 0:
-                    raise NegativeEntry(i, j, value)
-        for i in range(n):
-            if self.entries[i][i] != 0:
-                raise NonzeroDiagonal(i, self.entries[i][i])
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise AsymmetricEntry(i, j, self.entries[i][j],
-                                          self.entries[j][i])
+                        f"{label}[{i}][{j}] = {value!r} is not a Fraction")
+                if value < floor:
+                    raise self._below_floor(i, j, value)
+        if self._ZERO_DIAGONAL:
+            for i, row in enumerate(entries):
+                if row[i] != 0:
+                    raise NonzeroDiagonal(i, row[i])
+        for i, row in enumerate(entries):
+            for j in range(i + 1, len(row)):
+                if row[j] != entries[j][i]:
+                    raise AsymmetricEntry(i, j, row[j], entries[j][i])
 
     @property
     def n(self) -> int:
@@ -260,6 +276,19 @@ class DistanceTable:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
+
+
+@dataclass(frozen=True)
+class DistanceTable(_RationalTable):
+    """A finite symmetric table of exact nonnegative distances, zero diagonal.
+
+    The constructor enforces shape, nonnegativity, zero diagonal, and symmetry;
+    what it deliberately does not enforce is the identity axiom (off-diagonal
+    zeros are representable so the identity check has something to reject).
+    """
+
+    _LABEL, _FLOOR, _ZERO_DIAGONAL = "entries", 0, True
+    _below_floor = NegativeEntry
 
     def to_json(self):
         return {
@@ -269,45 +298,15 @@ class DistanceTable:
         }
 
 
-def new_distance_table(points: Sequence[str],
-                       entries: Sequence[Sequence[RationalLike]]) -> DistanceTable:
-    """Validate and build a :class:`DistanceTable` from plain sequences."""
-    pts = tuple(str(p) for p in points)
-    _validate_square(pts, entries)
-    rows = tuple(tuple(as_rational(v) for v in row) for row in entries)
-    return DistanceTable(pts, rows)
-
-
 @dataclass(frozen=True)
-class ThetaTable:
+class ThetaTable(_RationalTable):
     """Symmetric table of pointwise relaxation bounds, every entry >= 1."""
 
-    points: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    _LABEL, _FLOOR, _ZERO_DIAGONAL = "theta", 1, False
 
-    def __post_init__(self) -> None:
-        _validate_square(self.points, self.entries)
-        n = len(self.points)
-        for i in range(n):
-            for j in range(n):
-                value = self.entries[i][j]
-                if not isinstance(value, Fraction):
-                    raise InvalidEntry(
-                        f"theta[{i}][{j}] = {value!r} is not a Fraction")
-                if value < 1:
-                    raise InvalidTheta(f"theta[{i}][{j}] = {value} is below 1")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise AsymmetricEntry(i, j, self.entries[i][j],
-                                          self.entries[j][i])
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+    @staticmethod
+    def _below_floor(i: int, j: int, value: Fraction) -> InvalidTheta:
+        return InvalidTheta(f"theta[{i}][{j}] = {value} is below 1")
 
     def max_entry(self) -> Fraction:
         return max(v for row in self.entries for v in row)
@@ -316,12 +315,25 @@ class ThetaTable:
         return [[rational_to_json(v) for v in row] for row in self.entries]
 
 
-def new_theta_table(points: Sequence[str],
-                    entries: Sequence[Sequence[RationalLike]]) -> ThetaTable:
+def _build_table(kind: type, points: Sequence[str],
+                 entries: Sequence[Sequence[RationalLike]]):
+    # shape first, so a short row is reported before a bad entry in it
     pts = tuple(str(p) for p in points)
     _validate_square(pts, entries)
-    rows = tuple(tuple(as_rational(v) for v in row) for row in entries)
-    return ThetaTable(pts, rows)
+    return kind(pts, tuple(tuple(as_rational(v) for v in row)
+                           for row in entries))
+
+
+def new_distance_table(points: Sequence[str],
+                       entries: Sequence[Sequence[RationalLike]]) -> DistanceTable:
+    """Validate and build a :class:`DistanceTable` from plain sequences."""
+    return _build_table(DistanceTable, points, entries)
+
+
+def new_theta_table(points: Sequence[str],
+                    entries: Sequence[Sequence[RationalLike]]) -> ThetaTable:
+    """Validate and build a :class:`ThetaTable` from plain sequences."""
+    return _build_table(ThetaTable, points, entries)
 
 
 def constant_theta(points: Sequence[str], value: RationalLike) -> ThetaTable:
@@ -363,33 +375,34 @@ def space_from_json(doc) -> tuple[DistanceTable, Optional[ThetaTable]]:
     if len(points) > MAX_SPACE_POINTS:
         raise SpaceFormatError(f"{len(points)} points exceed the cap of "
                                f"{MAX_SPACE_POINTS}")
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise SpaceFormatError('"entries" must be a list of rows')
-    # every constructor complaint about a loaded document is a document
-    # problem, not an internal one
-    construction_errors = (ShapeMismatch, InvalidEntry, NegativeEntry,
-                           NonzeroDiagonal, AsymmetricEntry, InvalidTheta)
-    try:
-        table = new_distance_table(points, entries)
-    except construction_errors as err:
-        raise SpaceFormatError(str(err)) from None
-    theta = None
-    if doc.get("theta") is not None:
-        raw = doc["theta"]
-        if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-            raise SpaceFormatError('"theta" must be a list of rows')
-        try:
-            theta = new_theta_table(points, raw)
-        except construction_errors as err:
-            raise SpaceFormatError(str(err)) from None
+    table = _document_table(new_distance_table, points, entries, "entries")
+    raw = doc.get("theta")
+    theta = (None if raw is None
+             else _document_table(new_theta_table, points, raw, "theta"))
     return table, theta
 
 
+def _document_table(build, points: list, rows, key: str):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise SpaceFormatError(f'"{key}" must be a list of rows')
+    # every constructor complaint about a loaded document is a document
+    # problem, not an internal one
+    try:
+        return build(points, rows)
+    except (ShapeMismatch, InvalidEntry, NegativeEntry, NonzeroDiagonal,
+            AsymmetricEntry, InvalidTheta) as err:
+        raise SpaceFormatError(str(err)) from None
+
+
 def load_space(path) -> tuple[DistanceTable, Optional[ThetaTable]]:
+    """Read a space document. A file that does not decode (malformed JSON,
+    bytes that are not UTF-8, an integer past the interpreter's digit limit,
+    nesting past its recursion limit) raises SpaceFormatError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise SpaceFormatError(f"invalid JSON: {err}") from None
     return space_from_json(doc)
 

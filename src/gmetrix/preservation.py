@@ -33,7 +33,12 @@ from typing import Mapping, Optional
 from . import axioms
 from .classify import GridSpec, classify_fn, diverged
 from .dsl import RealFn, eval_exact, eval_fn, exact_capable, parse_fn
-from .errors import SourceClassViolated, UnsupportedClass
+from .errors import (
+    NonFinite,
+    PreconditionViolated,
+    SourceClassViolated,
+    UnsupportedClass,
+)
 from .model import (
     ClassTag,
     DistanceTable,
@@ -69,15 +74,21 @@ def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
     Expressions in the exact fragment (+, *, min, max, literals, x) are
     evaluated over rationals, so e.g. the identity expression reproduces the
     table bit for bit. Everything else evaluates in floats and converts the
-    result exactly. A nonzero f(0) surfaces as the constructor's diagonal
-    error, since the image of the diagonal must stay zero.
+    result exactly; an entry beyond the float range raises NonFinite. A
+    nonzero f(0) surfaces as the constructor's diagonal error, since the
+    image of the diagonal must stay zero.
     """
     if exact_capable(f.ast):
         def convert(value: Fraction) -> Fraction:
             return eval_exact(f.ast, value)
     else:
         def convert(value: Fraction) -> Fraction:
-            return Fraction(eval_fn(f, float(value)))
+            try:
+                x = float(value)
+            except OverflowError:
+                raise NonFinite(str(value), "table entry outside the float "
+                                            "range") from None
+            return Fraction(eval_fn(f, x))
     cache: dict[Fraction, Fraction] = {}
     rows = []
     for row in table.entries:
@@ -137,6 +148,12 @@ class Budget:
     grid: GridSpec = MEMBER_GRID
     seed: int = 0
     scale: Optional[float] = None  # triplet entry scale; default 2 * x_max
+
+    def __post_init__(self) -> None:
+        scale = self.effective_scale()
+        if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
+            raise PreconditionViolated(
+                f"triplet scale {scale!r} overflows when doubled")
 
     def effective_scale(self) -> float:
         return self.scale if self.scale is not None else 2.0 * self.grid.x_max

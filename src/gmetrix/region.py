@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 from xml.sax.saxutils import escape
 
 from .classify import REL_TOL, verify_plateau
@@ -28,6 +28,10 @@ class RegionSpec:
     b: float
     n_max: int
     samples_per_interval: int = 16
+
+    #: Most samples per interval. An envelope that fits a float ends at
+    #: 2^n_max * a, so n_max stays near 2,100 and the samples near 2e6.
+    MAX_SAMPLES: ClassVar[int] = 1_000
 
     def __post_init__(self) -> None:
         if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)
@@ -46,6 +50,10 @@ class RegionSpec:
         if not (isinstance(self.samples_per_interval, int)
                 and self.samples_per_interval >= 2):
             raise PreconditionViolated("samples_per_interval must be >= 2")
+        if self.samples_per_interval > self.MAX_SAMPLES:
+            raise PreconditionViolated(
+                f"samples_per_interval {self.samples_per_interval} exceeds "
+                f"the cap of {self.MAX_SAMPLES}")
 
     def to_json(self):
         return {"a": float(self.a), "b": float(self.b), "n_max": self.n_max,

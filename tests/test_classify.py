@@ -32,6 +32,10 @@ def test_grid_spec_validation():
     with pytest.raises(PreconditionViolated, match="overflows when doubled"):
         GridSpec(x_max=1e308)
     assert GridSpec(x_max=8e307).x_max == 8e307
+    assert GridSpec.MAX_POINTS == 1_000_000
+    for n_points in (GridSpec.MAX_POINTS + 1, 10 ** 12):
+        with pytest.raises(PreconditionViolated, match="exceeds the cap"):
+            GridSpec(n_points=n_points)
 
 
 def test_sample_points_contract():

@@ -96,6 +96,38 @@ def test_numeric_flag_overflow_is_a_usage_error(capsys, argv):
     assert "out of float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fn", "eval", "x", "--at", "1e99999999"),
+    ("fn", "eval", "x", "--at", "1e-99999999"),
+    ("member", "x", "--class", "B", "--x-max", "1e999999999"),
+    ("search", "x", "--class", "B", "--scale", "1E999999999"),
+    ("region", "check", "x", "--a", "1", "--b", "0e999999999", "--n", "1"),
+    ("realize", "1e999999999", "1", "1"),
+])
+def test_numeric_flag_with_huge_exponent_is_rejected_at_once(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert "exceeds the int digit limit" in err
+
+
+def test_document_entry_with_huge_exponent_is_a_file_error(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text('{"points": ["x", "y"], '
+                    '"entries": [[0, "1e999999999"], ["1e999999999", 0]]}',
+                    encoding="utf-8")
+    code, _, err = run(capsys, "space", "verify", str(path))
+    assert code == 66
+    assert "exceeds the int digit limit" in err
+
+
+@pytest.mark.parametrize("source", ["floor(x*x - x*x)", "ceil(x*x - x*x)"])
+def test_rounding_a_nan_is_undecidable(capsys, source):
+    # inf - inf is NaN, which math.floor and math.ceil refuse
+    code, _, err = run(capsys, "fn", "eval", source, "--at", "1e200")
+    assert code == 2
+    assert "undecidable input: NaN during evaluation" in err
+
+
 def test_bad_expression_reports_position(capsys):
     code, _, err = run(capsys, "fn", "eval", "2x", "--at", "1")
     assert code == 64
@@ -194,6 +226,20 @@ def test_space_verify_rejects_an_oversized_document(capsys, tmp_path, n):
     assert f"{n} points exceed the cap of {MAX_RANDOM_POINTS}" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"points": ["x", "y"], "entries": [[0, 1' + b"0" * 5000 + b'], [1, 0]]}',
+    b'{"points": ["\xe9"], "entries": [[0]]}',
+    b"[" * 100_000,
+], ids=["integer-past-digit-limit", "not-utf-8", "deep-nesting"])
+def test_space_verify_undecodable_document_is_a_file_error(capsys, tmp_path,
+                                                           content):
+    path = tmp_path / "space.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "space", "verify", str(path))
+    assert code == 66
+    assert "file error: invalid JSON" in err
+
+
 def test_space_verify_identity_violator_exits_one(capsys, tmp_path):
     doc = {"points": ["x", "y"], "entries": [[0, 0], [0, 0]]}
     path = tmp_path / "pseudo.json"
@@ -241,6 +287,18 @@ def test_preserve_paths(capsys, tmp_path):
                        "--target", "ultrametric")
     assert code == 2
     assert "undecidable input" in err
+
+
+def test_preserve_float_path_rejects_an_entry_past_float_range(capsys,
+                                                              tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"points": ["x", "y"], '
+                    '"entries": [[0, "1e400"], ["1e400", 0]]}',
+                    encoding="utf-8")
+    code, _, err = run(capsys, "preserve", "sqrt(x)", "--space", str(path),
+                       "--target", "metric")
+    assert code == 2
+    assert "undecidable input: table entry outside the float range" in err
 
 
 def test_member_exit_codes(capsys):
@@ -315,6 +373,13 @@ def test_triplet_scale_whose_double_overflows_is_a_usage_error(
      "x_max 1e+308 overflows when doubled"),
     (("member", "x", "--class", "B", "--x-max", "1e308", "--scale", "1",
       "--points", "10"), "x_max 1e+308 overflows when doubled"),
+    # only rejected counts are probed: an accepted one allocates its grid
+    *((command + ("--points", points),
+       f"n_points {points} exceeds the cap of 1000000")
+      for command in (("fn", "classify", "x"),
+                      ("member", "x", "--class", "B"),
+                      ("search", "x", "--class", "B"))
+      for points in ("1000001", "1000000000000")),
 ])
 def test_grid_flags_out_of_range_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
@@ -361,6 +426,9 @@ def test_region_check_failure_exits_one(capsys):
     (("--a", "1", "--n", "1030"), "overflows"),
     (("--a", "1e20", "--n", "1000"), "overflows"),
     (("--a", "1", "--n", "3", "--samples", "1"), "samples_per_interval"),
+    (("--a", "1", "--n", "3", "--samples", "1001"), "exceeds the cap of 1000"),
+    (("--a", "1", "--n", "3", "--samples", "1000000000000"),
+     "exceeds the cap of 1000"),
 ])
 def test_region_spec_out_of_range_is_a_usage_error(capsys, tmp_path, command,
                                                    flags, message):

@@ -190,6 +190,10 @@ def test_domain_errors():
 def test_nonfinite_and_codomain_errors():
     with pytest.raises(NonFinite):
         eval_fn(parse_fn("exp(x ^ 2)"), 100.0)
+    # inf - inf is NaN, which math.floor and math.ceil refuse
+    for source in ("floor(x*x - x*x)", "ceil(x*x - x*x)"):
+        with pytest.raises(NonFinite, match="NaN during evaluation"):
+            eval_fn(parse_fn(source), 1e200)
     with pytest.raises(OutOfCodomain) as excinfo:
         eval_fn(parse_fn("x - 10"), 1.0)
     assert excinfo.value.value == -9.0

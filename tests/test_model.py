@@ -1,6 +1,7 @@
 """Distance tables, JSON documents, tags, and the seeded space generators."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gmetrix import (
     ClassTag,
     DistanceTable,
+    ThetaTable,
     Status,
     Verdict,
     Witness,
@@ -34,7 +36,7 @@ from gmetrix.errors import (
     SpaceFormatError,
     UnsupportedKind,
 )
-from gmetrix.model import MAX_SPACE_POINTS
+from gmetrix.model import MAX_SPACE_POINTS, as_rational
 
 from oracles import brute_is_metric, brute_is_ultra
 
@@ -139,6 +141,53 @@ def test_load_space_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SpaceFormatError):
+        load_space(path)
+
+
+def test_table_errors_keep_their_order():
+    # entries are checked before the diagonal, the diagonal before symmetry
+    with pytest.raises(NegativeEntry):
+        new_distance_table(["x", "y", "z"],
+                           [[0, 1, 2], [1, 0, 3], [2, -1, 0]])
+    with pytest.raises(NonzeroDiagonal):
+        new_distance_table(["x", "y"], [[0, 1], [2, 5]])
+    with pytest.raises(InvalidTheta):
+        new_theta_table(["x", "y"], [[1, 2], ["1/2", 1]])
+    with pytest.raises(AsymmetricEntry):
+        new_theta_table(["x", "y"], [[1, 2], [3, 1]])
+    with pytest.raises(InvalidEntry, match=r"theta\[1\]\[0\]"):
+        ThetaTable(("x", "y"), ((Fraction(1), Fraction(2)), (2, Fraction(1))))
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E-999999999",
+                                  "0e99999999", "1.5e4301"])
+def test_exponent_past_the_digit_limit_is_rejected_at_once(text):
+    # Fraction(text) would build a power of ten with that many digits
+    with pytest.raises(InvalidEntry, match="exceeds the int digit limit"):
+        as_rational(text)
+    with pytest.raises(SpaceFormatError, match="exceeds the int digit limit"):
+        space_from_json({"points": ["x", "y"],
+                         "entries": [[0, text], [text, 0]]})
+
+
+def test_exponent_at_the_digit_limit_is_accepted():
+    limit = sys.get_int_max_str_digits()
+    assert as_rational(f"1e{limit}") == 10 ** limit
+    assert as_rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    assert as_rational("25e-1") == Fraction(5, 2)
+    with pytest.raises(InvalidEntry, match="not an exact rational"):
+        as_rational("1e")
+
+
+@pytest.mark.parametrize("content", [
+    b'{"points": ["x", "y"], "entries": [[0, 1' + b"0" * 5000 + b'], [1, 0]]}',
+    b'{"points": ["\xe9"], "entries": [[0]]}',
+    b"[" * 100_000,
+], ids=["integer-past-digit-limit", "not-utf-8", "deep-nesting"])
+def test_load_space_maps_decode_failures(tmp_path, content):
+    path = tmp_path / "space.json"
+    path.write_bytes(content)
+    with pytest.raises(SpaceFormatError, match="invalid JSON"):
         load_space(path)
 
 

@@ -34,7 +34,9 @@ from gmetrix import (
 )
 from gmetrix import preservation
 from gmetrix.errors import (
+    NonFinite,
     NonzeroDiagonal,
+    PreconditionViolated,
     SourceClassViolated,
     UnsupportedClass,
 )
@@ -82,6 +84,23 @@ def test_pushforward_zero_function_collapses_the_table():
 def test_pushforward_nonzero_origin_breaks_the_diagonal():
     with pytest.raises(NonzeroDiagonal):
         pushforward(parse_fn("max(x, 1)"), PATH_SPACE)
+
+
+def test_pushforward_float_path_rejects_an_entry_past_float_range():
+    table = new_distance_table(["x", "y"], [[0, "1e400"], ["1e400", 0]])
+    with pytest.raises(NonFinite, match="table entry outside the float range"):
+        pushforward(parse_fn("sqrt(x)"), table)
+    # the exact path needs no float, so the entry is fine there
+    assert pushforward(parse_fn("x + x"), table).entry(0, 1) == 2 * 10 ** 400
+
+
+def test_budget_rejects_a_scale_whose_double_overflows():
+    with pytest.raises(PreconditionViolated, match="overflows when doubled"):
+        Budget(scale=1e308)
+    # the default scale is 2 * x_max
+    with pytest.raises(PreconditionViolated, match="overflows when doubled"):
+        Budget(grid=GridSpec(x_max=5e307))
+    assert Budget(scale=8e307).effective_scale() == 8e307
 
 
 def test_preserve_square_fails_metric_but_holds_relaxed():

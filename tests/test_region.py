@@ -39,6 +39,10 @@ def test_spec_validation():
         RegionSpec(a=1.0, b=1.0, n_max=1024)
     with pytest.raises(PreconditionViolated):
         RegionSpec(a=1e20, b=1.0, n_max=1000)
+    assert RegionSpec.MAX_SAMPLES == 1_000
+    for samples in (RegionSpec.MAX_SAMPLES + 1, 10 ** 12):
+        with pytest.raises(PreconditionViolated, match="exceeds the cap"):
+            RegionSpec(a=1.0, b=1.0, n_max=1, samples_per_interval=samples)
 
 
 def test_region_bounds_values():
