@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn, eval_fn
@@ -166,28 +167,45 @@ def verify_plateau(f: RealFn, b: float) -> Optional[tuple[float, float]]:
     return (a, b)
 
 
-def _amenability(points: list[float], f_at) -> Verdict:
-    if f_at(0.0) != 0.0:
+def _point_values(f: RealFn, points: list[float]) -> dict[float, float]:
+    """f at every sample point, evaluated in the order the screens read
+    them (0, then the canonical probe 1.0 unless f(0) already refutes
+    amenability, then the rest ascending), so the first error names the
+    same x."""
+    order = points[:1]
+    values: list[float] = []
+    f.runner(order, values)
+    rest = points[1:]
+    if values[0] == 0.0 and 1.0 in rest:
+        rest.remove(1.0)
+        rest.insert(0, 1.0)
+    f.runner(rest, values)
+    return dict(zip(order + rest, values))
+
+
+def _amenability(points: list[float], value_at: dict[float, float]) -> Verdict:
+    f0 = value_at[0.0]
+    if f0 != 0.0:
         return fails(Witness(
-            description=f"f(0) = {f_at(0.0)!r} but amenability needs f(0) = 0",
-            lhs=f_at(0.0), rhs=0.0, data={"x": 0.0}))
-    probes = []
-    if 1.0 in points:
-        probes.append(1.0)  # canonical first probe
-    probes.extend(p for p in points if p > 0.0 and p != 1.0)
-    for x in probes:
-        if f_at(x) == 0.0:
-            return fails(Witness(
-                description=f"f({x!r}) = 0 although x > 0",
-                lhs=0.0, rhs=0.0, data={"x": x}))
+            description=f"f(0) = {f0!r} but amenability needs f(0) = 0",
+            lhs=f0, rhs=0.0, data={"x": 0.0}))
+    probes = points[1:]
+    if value_at.get(1.0) == 0.0:  # canonical first probe
+        zero_at = 1.0
+    else:
+        zero_at = next((x for x in probes if value_at[x] == 0.0), None)
+    if zero_at is not None:
+        return fails(Witness(
+            description=f"f({zero_at!r}) = 0 although x > 0",
+            lhs=0.0, rhs=0.0, data={"x": zero_at}))
     return holds(note=f"grid-verified on {len(probes)} positive samples")
 
 
-def _monotonicity(points: list[float], f_at) -> Verdict:
+def _monotonicity(points: list[float], value_at: dict[float, float]) -> Verdict:
     previous_x = points[0]
-    previous = f_at(previous_x)
+    previous = value_at[previous_x]
     for x in points[1:]:
-        value = f_at(x)
+        value = value_at[x]
         if value < previous - REL_TOL * max(1.0, abs(previous)):
             return fails(Witness(
                 description=(f"f({previous_x!r}) = {previous!r} > "
@@ -198,7 +216,7 @@ def _monotonicity(points: list[float], f_at) -> Verdict:
     return holds(note=f"nondecreasing across {len(points)} sorted samples")
 
 
-def _limit_at_zero(f_at, x_max: float) -> Optional[float]:
+def _limit_at_zero(f: RealFn, x_max: float) -> Optional[float]:
     """Estimate lim f at 0+ from the geometric tail.
 
     Values shrinking by a factor <= 0.75 per halving for the last probes give
@@ -208,8 +226,8 @@ def _limit_at_zero(f_at, x_max: float) -> Optional[float]:
     tail = _geometric_tail(x_max, max(_GEO_FLOOR, x_max * 2.0 ** -30))
     if len(tail) < 4:
         return None
-    smallest_first = list(reversed(tail))[:4]  # four smallest samples
-    values = [f_at(x) for x in smallest_first]
+    values: list[float] = []
+    f.runner(list(reversed(tail))[:4], values)  # four smallest samples
     vanishing = all(abs(values[i]) <= 0.75 * abs(values[i + 1]) + 1e-300
                     for i in range(len(values) - 1))
     if vanishing:
@@ -222,6 +240,19 @@ def _limit_at_zero(f_at, x_max: float) -> Optional[float]:
     return None
 
 
+_PAIR_CHUNK = 1024  # pairs per batch; the whole schedule would cost memory
+
+
+def _pair_sums(f: RealFn, pairs: Iterator[tuple[float, float]]
+               ) -> Iterator[tuple[float, float, float]]:
+    """(a, b, f(a + b)) for each pair, evaluated a chunk at a time."""
+    while chunk := list(islice(pairs, _PAIR_CHUNK)):
+        sums: list[float] = []
+        f.runner([a + b for a, b in chunk], sums)
+        for (a, b), fab in zip(chunk, sums):
+            yield a, b, fab
+
+
 def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
                 plateau_b: Optional[float] = None) -> FnProfile:
     """Profile f on the grid: amenability, monotonicity, subadditivity, and
@@ -232,19 +263,14 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     byte-identical JSON across runs.
     """
     points = sample_points(grid)
-    cache: dict[float, float] = {}
-
-    def f_at(x: float) -> float:
-        if x not in cache:
-            cache[x] = eval_fn(f, x)
-        return cache[x]
-
-    amenable = _amenability(points, f_at)
-    increasing = _monotonicity(points, f_at)
+    value_at = _point_values(f, points)
+    amenable = _amenability(points, value_at)
+    increasing = _monotonicity(points, value_at)
 
     # one pass over the pair schedule feeds both subadditivity views; each
     # view keeps the (a, b, f(a), f(b), f(a + b)) of the first pair that
-    # sets its maximum, and a witness is built only for a failing verdict
+    # sets its maximum, and a witness is built only for a failing verdict.
+    # The sums are evaluated a chunk of the schedule at a time, in order.
     max_defect = -math.inf
     defect_at = None
     defect_violates = False
@@ -254,10 +280,9 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     ratio_at = None
     pair_count = 0
     octave_split = grid.x_max
-    for a, b in sample_pairs(grid, points):
+    for a, b, fab in _pair_sums(f, sample_pairs(grid, points)):
         pair_count += 1
-        fa, fb = f_at(a), f_at(b)
-        fab = f_at(a + b)
+        fa, fb = value_at[a], value_at[b]
         defect = fab - fa - fb
         if defect > max_defect:
             max_defect = defect
@@ -313,6 +338,6 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
         increasing=increasing,
         subadditive=subadditive,
         quasi_subadditive=quasi,
-        limit_at_zero=_limit_at_zero(f_at, grid.x_max),
+        limit_at_zero=_limit_at_zero(f, grid.x_max),
         plateau=None if plateau_b is None else verify_plateau(f, plateau_b),
     )

@@ -121,6 +121,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _side(text: str) -> Fraction:
+    """A triplet side for realize; a positive side stays positive as a float."""
+    value = _fraction_arg(text)
+    if value and not float(value):
+        raise argparse.ArgumentTypeError(f"{text!r} underflows to 0 as a float")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -411,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     real = sub.add_parser("realize",
                           help="place a triangle triplet in the plane")
-    real.add_argument("a", type=_fraction_arg)
-    real.add_argument("b", type=_fraction_arg)
-    real.add_argument("c", type=_fraction_arg)
+    real.add_argument("a", type=_side)
+    real.add_argument("b", type=_side)
+    real.add_argument("c", type=_side)
     real.set_defaults(handler=_cmd_realize)
 
     return parser

@@ -24,8 +24,16 @@ Evaluation is in floats. Intermediate values may leave [0, inf) (e.g. the
 "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt of
 a negative intermediate, log1p at or below -1, a division by zero, or a
 negative base under "^" raises DomainError; overflow, inf, or NaN raises
-NonFinite (also floor or ceil of an intermediate NaN); a negative final
-value raises OutOfCodomain.
+NonFinite (also floor, ceil, min or max of an intermediate NaN, so no
+comparison drops a NaN); a negative final value raises OutOfCodomain.
+
+Each RealFn is compiled, on its first float evaluation, to one generated
+Python function (`RealFn.runner`): straight-line code with one assignment
+per tree node and every check above inline, looping over a batch of x
+values in one frame. Callers that evaluate many points hand it whole
+batches; eval_fn is the single-x entry on top of it. The generated text is
+built from fixed names, repr(float) literals and the grammar's operators
+only, never from the expression's own text.
 
 Expressions built only from "+", "*", "min", "max", literals, and "x" also
 evaluate exactly over rationals (see exact_capable / eval_exact); table
@@ -35,9 +43,11 @@ pushforwards use that path whenever it applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from functools import cached_property
+from typing import Callable, Iterable, Union
 
 from .errors import (
     DomainError,
@@ -338,83 +348,156 @@ def _count_pieces(node: Node) -> int:
     return 0
 
 
-# --- compilation to float closures ---------------------------------------------------
+# --- the generated batch evaluator ---------------------------------------------------
 
-def _compile(node: Node) -> Callable[[float], float]:
-    if isinstance(node, Lit):
-        constant = float(node.value)
-        return lambda x: constant
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Neg):
-        inner = _compile(node.operand)
-        return lambda x: -inner(x)
-    if isinstance(node, Bin):
-        left, right = _compile(node.left), _compile(node.right)
-        if node.op == "+":
-            return lambda x: left(x) + right(x)
-        if node.op == "-":
-            return lambda x: left(x) - right(x)
-        if node.op == "*":
-            return lambda x: left(x) * right(x)
-        if node.op == "/":
-            def divide(x: float) -> float:
-                denom = right(x)
-                if denom == 0.0:
-                    raise DomainError(x, "division by zero")
-                return left(x) / denom
-            return divide
-        if node.op == "^":
-            def power(x: float) -> float:
-                base = left(x)
-                exponent = right(x)
-                if base < 0.0:
-                    raise DomainError(x, f"negative base {base!r} under '^'")
-                if base == 0.0 and exponent < 0.0:
-                    raise DomainError(x, "zero base with negative exponent")
-                return base ** exponent
-            return power
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        inners = tuple(_compile(a) for a in node.args)
-        name = node.name
-        if name == "min":
-            return lambda x: min(f(x) for f in inners)
-        if name == "max":
-            return lambda x: max(f(x) for f in inners)
-        inner = inners[0]
-        if name == "sqrt":
-            def sqrt_fn(x: float) -> float:
-                value = inner(x)
-                if value < 0.0:
-                    raise DomainError(x, f"sqrt of negative value {value!r}")
-                return math.sqrt(value)
-            return sqrt_fn
-        if name == "exp":
-            def exp_fn(x: float) -> float:
-                return math.exp(inner(x))
-            return exp_fn
-        if name == "log1p":
-            def log1p_fn(x: float) -> float:
-                value = inner(x)
-                if value <= -1.0:
-                    raise DomainError(x, f"log1p at {value!r} (needs > -1)")
-                return math.log1p(value)
-            return log1p_fn
-        if name == "abs":
-            return lambda x: abs(inner(x))
-        if name == "floor":
-            return lambda x: float(math.floor(inner(x)))
-        if name == "ceil":
-            return lambda x: float(math.ceil(inner(x)))
-        raise AssertionError(name)
-    if isinstance(node, Piece):
-        threshold = float(node.threshold)
-        then, other = _compile(node.then), _compile(node.other)
-        if node.op == "<":
-            return lambda x: then(x) if x < threshold else other(x)
-        return lambda x: then(x) if x <= threshold else other(x)
-    raise AssertionError(node)
+def _reject(x: float, value: float) -> None:
+    """Raise for a final value outside [0, inf): NaN and infinities are
+    non-finite, anything else is negative."""
+    if not math.isfinite(value):
+        raise NonFinite(x, f"non-finite value {value!r}")
+    raise OutOfCodomain(x, value)
+
+
+# The emitted text holds fixed names only: x, v0, v1, ... for the node
+# values, and the names bound here; no other builtin is reachable.
+_NAMESPACE = {
+    "__builtins__": {"abs": abs, "float": float, "OverflowError": OverflowError},
+    "DomainError": DomainError,
+    "NonFinite": NonFinite,
+    "_reject": _reject,
+    "_sqrt": math.sqrt,
+    "_exp": math.exp,
+    "_log1p": math.log1p,
+    "_floor": math.floor,
+    "_ceil": math.ceil,
+}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*"}
+_COMPARISON = {"<": "<", "<=": "<="}
+_CALLS = {"sqrt": "_sqrt({})", "exp": "_exp({})", "log1p": "_log1p({})",
+          "abs": "abs({})", "floor": "float(_floor({}))",
+          "ceil": "float(_ceil({}))"}
+_LARGEST = repr(sys.float_info.max)
+
+
+def _safe(node: Node) -> bool:
+    """Literals and x are nonnegative and never NaN."""
+    return isinstance(node, (Lit, Var))
+
+
+class _Emitter:
+    """Statements computing a tree's nodes, one assignment per node."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.count = 0
+
+    def fresh(self) -> str:
+        self.count += 1
+        return f"v{self.count - 1}"
+
+    def assign(self, pad: str, expression: str) -> str:
+        name = self.fresh()
+        self.lines.append(f"{pad}{name} = {expression}")
+        return name
+
+    def guard(self, pad: str, condition: str, error: str) -> None:
+        self.lines.append(f"{pad}if {condition}: raise {error}")
+
+    def value(self, node: Node, pad: str) -> str:
+        """Emit the statements computing node; return the operand naming it."""
+        if isinstance(node, Lit):
+            return repr(float(node.value))
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Neg):
+            return self.assign(pad, f"-{self.value(node.operand, pad)}")
+        if isinstance(node, Bin) and node.op == "/":
+            # the denominator first: its zero test precedes the numerator
+            right = self.value(node.right, pad)
+            if not (isinstance(node.right, Lit) and node.right.value):
+                self.guard(pad, f"{right} == 0.0",
+                           "DomainError(x, 'division by zero')")
+            return self.assign(pad, f"{self.value(node.left, pad)} / {right}")
+        if isinstance(node, Bin):
+            left, right = self.value(node.left, pad), self.value(node.right, pad)
+            if node.op != "^":
+                return self.assign(pad,
+                                   f"{left} {_ARITHMETIC[node.op]} {right}")
+            if not _safe(node.left):
+                self.guard(pad, f"{left} < 0.0", "DomainError(x, "
+                           f"f\"negative base {{{left}!r}} under '^'\")")
+            if not _safe(node.right):
+                self.guard(pad, f"{left} == 0.0 and {right} < 0.0",
+                           "DomainError(x, 'zero base with negative exponent')")
+            return self.assign(pad, f"{left} ** {right}")
+        if isinstance(node, Call):
+            return self.call(node, pad)
+        if isinstance(node, Piece):
+            out = self.fresh()
+            inner = pad + "    "
+            self.lines.append(f"{pad}if x {_COMPARISON[node.op]} "
+                              f"{float(node.threshold)!r}:")
+            self.lines.append(f"{inner}{out} = {self.value(node.then, inner)}")
+            self.lines.append(f"{pad}else:")
+            self.lines.append(f"{inner}{out} = {self.value(node.other, inner)}")
+            return out
+        raise AssertionError(node)
+
+    def call(self, node: Call, pad: str) -> str:
+        args = [self.value(a, pad) for a in node.args]
+        first, name = args[0], node.name
+        if name in _VARIADIC_FNS:
+            # Python's min/max order: a later argument replaces the running
+            # value only when strictly smaller (larger)
+            relation = "<" if name == "min" else ">"
+            out = self.assign(pad, first)
+            self.lines.extend(f"{pad}if {a} {relation} {out}: {out} = {a}"
+                              for a in args[1:])
+            nan_tests = [f"{a} != {a}"
+                         for a, arg in zip(args, node.args) if not _safe(arg)]
+            if nan_tests:
+                self.guard(pad, " or ".join(nan_tests),
+                           "NonFinite(x, 'NaN during evaluation')")
+            return out
+        if not _safe(node.args[0]):
+            if name == "sqrt":
+                self.guard(pad, f"{first} < 0.0", "DomainError("
+                           f"x, f'sqrt of negative value {{{first}!r}}')")
+            elif name == "log1p":
+                self.guard(pad, f"{first} <= -1.0", "DomainError("
+                           f"x, f'log1p at {{{first}!r}} (needs > -1)')")
+            elif name in ("floor", "ceil"):
+                self.guard(pad, f"{first} != {first}",
+                           "NonFinite(x, 'NaN during evaluation')")
+        return self.assign(pad, _CALLS[name].format(first))
+
+
+def _emit_source(ast: Node) -> str:
+    """Python source of the batch entry `run(xs, out)` for one tree.
+
+    One assignment per node, so the compiler meets no nesting deeper than
+    the eight piece branches. Literals enter as repr(float); operators and
+    function names are looked up in fixed tables, so no text of the
+    expression reaches the source. A guard is left out only where it can
+    never fire, on a literal or x.
+    """
+    emitter = _Emitter()
+    result = emitter.value(ast, " " * 12)
+    body = "\n".join(emitter.lines) or " " * 12 + "pass"
+    return f"""\
+def run(xs, out):
+    append = out.append
+    for x in xs:
+        if not x >= 0.0:
+            raise DomainError(x, "argument outside [0, inf)")
+        try:
+{body}
+        except OverflowError:
+            raise NonFinite(x, "overflow during evaluation") from None
+        if not 0.0 <= {result} <= {_LARGEST}:
+            _reject(x, {result})
+        append({result})
+"""
 
 
 @dataclass(frozen=True)
@@ -423,7 +506,17 @@ class RealFn:
 
     source: str
     ast: Node
-    runner: Callable[[float], float] = field(compare=False, repr=False)
+
+    @cached_property
+    def runner(self) -> Callable[[Iterable[float], list[float]], None]:
+        """The batch entry `run(xs, out)`, generated and compiled on first
+        use: it appends f(x) to out for each float x in order, with every
+        check of eval_fn. When an x fails, out holds the values before it
+        and the error names that x."""
+        namespace = dict(_NAMESPACE)
+        exec(compile(_emit_source(self.ast), "<gmetrix expression>", "exec"),
+             namespace)
+        return namespace.pop("run")  # no cycle through its own globals
 
     def __call__(self, x) -> float:
         return eval_fn(self, x)
@@ -445,27 +538,14 @@ def parse_fn(text: str) -> RealFn:
         raise ParseError(
             f"{pieces} piece branches exceed the cap of {_PIECE_CAP}", 1, 1,
             expected=(f"at most {_PIECE_CAP} piece branches",))
-    return RealFn(source=text, ast=ast, runner=_compile(ast))
+    return RealFn(source=text, ast=ast)
 
 
 def eval_fn(fn: RealFn, x) -> float:
     """Evaluate at x >= 0; the final value must land back in [0, inf)."""
-    xf = float(x)
-    if math.isnan(xf) or xf < 0.0:
-        raise DomainError(x, "argument outside [0, inf)")
-    try:
-        value = fn.runner(xf)
-    except OverflowError:
-        raise NonFinite(xf, "overflow during evaluation") from None
-    except ValueError:  # math.floor or math.ceil of a NaN; nothing else
-        raise NonFinite(xf, "NaN during evaluation") from None
-    except ZeroDivisionError:  # safety net; guards normally catch this
-        raise DomainError(xf, "division by zero") from None
-    if math.isnan(value) or math.isinf(value):
-        raise NonFinite(xf, f"non-finite value {value!r}")
-    if value < 0.0:
-        raise OutOfCodomain(xf, value)
-    return value
+    out: list[float] = []
+    fn.runner((float(x),), out)
+    return out[0]
 
 
 # --- exact fragment -------------------------------------------------------------------

@@ -15,7 +15,8 @@ class it stays Inconclusive because a point-dependent bound table could still
 exist.
 
 The image-triplet scan (last rung, and the search) reads plain (a, b, c)
-tuples, evaluates each entry with `eval_fn` and its checks, and scores the
+tuples, evaluates their entries a chunk of triplets at a time through the
+expression's batch entry, with all of `eval_fn`'s checks, and scores each
 image with `triplets._constant`, the formula of `triplet_constant`. Only a
 search witness becomes a `Triplet`, to be realized in the plane.
 """
@@ -27,13 +28,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Mapping, Optional
 
 from . import axioms
 from .classify import GridSpec, classify_fn, diverged
-from .dsl import RealFn, eval_exact, eval_fn, exact_capable, parse_fn
+from .dsl import RealFn, eval_exact, exact_capable, parse_fn
 from .errors import (
+    EvalError,
     NonFinite,
     PreconditionViolated,
     SourceClassViolated,
@@ -68,37 +70,39 @@ from .triplets import (
 
 # --- pushforward -----------------------------------------------------------------
 
+def _entry_floats(values):
+    """Each entry as a float, raised lazily so that an earlier entry's
+    evaluation error comes first."""
+    for value in values:
+        try:
+            yield float(value)
+        except OverflowError:
+            raise NonFinite(str(value), "table entry outside the float "
+                                        "range") from None
+
+
 def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
     """Apply f entrywise; exact when the expression allows it.
 
     Expressions in the exact fragment (+, *, min, max, literals, x) are
     evaluated over rationals, so e.g. the identity expression reproduces the
-    table bit for bit. Everything else evaluates in floats and converts the
-    result exactly; an entry beyond the float range raises NonFinite. A
-    nonzero f(0) surfaces as the constructor's diagonal error, since the
+    table bit for bit. Everything else evaluates the distinct entries in
+    floats, in one batch in row-major order, and converts the results
+    exactly; the first entry that fails, or lies beyond the float range
+    (NonFinite), raises. A nonzero f(0) surfaces as the constructor's diagonal error, since the
     image of the diagonal must stay zero.
     """
+    distinct = list(dict.fromkeys(chain.from_iterable(table.entries)))
     if exact_capable(f.ast):
-        def convert(value: Fraction) -> Fraction:
-            return eval_exact(f.ast, value)
+        images = [eval_exact(f.ast, value) for value in distinct]
     else:
-        def convert(value: Fraction) -> Fraction:
-            try:
-                x = float(value)
-            except OverflowError:
-                raise NonFinite(str(value), "table entry outside the float "
-                                            "range") from None
-            return Fraction(eval_fn(f, x))
-    cache: dict[Fraction, Fraction] = {}
-    rows = []
-    for row in table.entries:
-        new_row = []
-        for value in row:
-            if value not in cache:
-                cache[value] = convert(value)
-            new_row.append(cache[value])
-        rows.append(tuple(new_row))
-    return DistanceTable(table.points, tuple(rows))
+        floats: list[float] = []
+        f.runner(_entry_floats(distinct), floats)
+        images = map(Fraction, floats)
+    image_of = dict(zip(distinct, images))
+    rows = tuple(tuple(map(image_of.__getitem__, row))
+                 for row in table.entries)
+    return DistanceTable(table.points, rows)
 
 
 # --- targeted preservation check ---------------------------------------------------
@@ -227,6 +231,27 @@ def _mixed_triplets(seed: int, scale: float):
         yield b
 
 
+_TRIPLET_CHUNK = 512  # triplets per batch
+
+
+def _with_images(f: RealFn, samples):
+    """Each sampled triplet with its image (f(a), f(b), f(c)), evaluated a
+    chunk at a time. When an entry fails, the complete samples before it
+    come out first and then its error, so a scan that stops on an earlier
+    sample never sees it."""
+    while chunk := list(islice(samples, _TRIPLET_CHUNK)):
+        values: list[float] = []
+        error = None
+        try:
+            f.runner(chain.from_iterable(chunk), values)
+        except EvalError as err:
+            error = err
+        entries = iter(values)
+        yield from zip(chunk, zip(entries, entries, entries))
+        if error is not None:
+            raise error
+
+
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
     sup = 0.0
@@ -236,10 +261,10 @@ def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     infinite = None
     used = 0
     split = scale / 2.0
-    for t in islice(_mixed_triplets(budget.seed, scale),
-                    budget.triplet_samples):
+    samples = islice(_mixed_triplets(budget.seed, scale),
+                     budget.triplet_samples)
+    for t, images in _with_images(f, samples):
         used += 1
-        images = (eval_fn(f, t[0]), eval_fn(f, t[1]), eval_fn(f, t[2]))
         constant = _constant(*images)
         if constant == math.inf:
             infinite = (t, images)

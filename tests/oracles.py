@@ -2,13 +2,18 @@
 
 Everything here is coded directly from the definitions over plain lists of
 Fractions, on purpose ignoring the package's own implementations, so that a
-shared bug would have to be written twice to go unnoticed.
+shared bug would have to be written twice to go unnoticed. The expression
+interpreter reads the parser's tree and raises the package's error types,
+but never goes through its generated evaluator.
 """
 
 from fractions import Fraction
 from itertools import permutations
 import math
 import random
+
+from gmetrix.dsl import Bin, Call, Lit, Neg, Piece, Var
+from gmetrix.errors import DomainError, NonFinite, OutOfCodomain
 
 
 def ordered_triples(n):
@@ -150,3 +155,83 @@ def random_prime_table(n, seed):
             entries[i][j] = value
             entries[j][i] = value
     return entries
+
+
+def reference_eval(ast, x):
+    """f(x) for a parsed tree by a plain recursive walk in floats, with the
+    language's rules: x in [0, inf); a sqrt of a negative value, log1p at or
+    below -1, division by zero or a negative base under "^" is a domain
+    error; overflow, a NaN reaching floor, ceil, min or max, and a
+    non-finite result are non-finite; a negative result is out of the
+    codomain."""
+    if math.isnan(x) or x < 0.0:
+        raise DomainError(x, "argument outside [0, inf)")
+    try:
+        value = _walk(ast, x)
+    except OverflowError:
+        raise NonFinite(x, "overflow during evaluation") from None
+    except ValueError:  # math.floor or math.ceil of a NaN
+        raise NonFinite(x, "NaN during evaluation") from None
+    if math.isnan(value) or math.isinf(value):
+        raise NonFinite(x, f"non-finite value {value!r}")
+    if value < 0.0:
+        raise OutOfCodomain(x, value)
+    return value
+
+
+def _walk(node, x):
+    if isinstance(node, Lit):
+        return float(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_walk(node.operand, x)
+    if isinstance(node, Piece):
+        threshold = float(node.threshold)
+        taken = x < threshold if node.op == "<" else x <= threshold
+        return _walk(node.then if taken else node.other, x)
+    if isinstance(node, Bin) and node.op == "/":
+        right = _walk(node.right, x)  # a zero denominator stops first
+        if right == 0.0:
+            raise DomainError(x, "division by zero")
+        return _walk(node.left, x) / right
+    if isinstance(node, Bin):
+        left, right = _walk(node.left, x), _walk(node.right, x)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if left < 0.0:
+            raise DomainError(x, f"negative base {left!r} under '^'")
+        if left == 0.0 and right < 0.0:
+            raise DomainError(x, "zero base with negative exponent")
+        return math.pow(left, right)
+    assert isinstance(node, Call), node
+    values = [_walk(arg, x) for arg in node.args]
+    if node.name in ("min", "max"):
+        if any(math.isnan(v) for v in values):
+            raise NonFinite(x, "NaN during evaluation")
+        best = values[0]
+        for v in values[1:]:
+            if (v < best) if node.name == "min" else (v > best):
+                best = v
+        return best
+    value = values[0]
+    if node.name == "sqrt":
+        if value < 0.0:
+            raise DomainError(x, f"sqrt of negative value {value!r}")
+        return math.sqrt(value)
+    if node.name == "log1p":
+        if value <= -1.0:
+            raise DomainError(x, f"log1p at {value!r} (needs > -1)")
+        return math.log1p(value)
+    if node.name == "exp":
+        return math.exp(value)
+    if node.name == "abs":
+        return math.fabs(value)
+    if node.name == "floor":
+        return float(math.floor(value))
+    assert node.name == "ceil", node
+    return float(math.ceil(value))

@@ -15,7 +15,7 @@ from gmetrix import (
     verify_plateau,
 )
 from gmetrix import classify
-from gmetrix.errors import PreconditionViolated
+from gmetrix.errors import DomainError, OutOfCodomain, PreconditionViolated
 
 GRID_10 = GridSpec(x_max=10.0, n_points=2000, seed=1)
 GRID_20 = GridSpec(x_max=20.0, n_points=2000, seed=1)
@@ -99,6 +99,24 @@ def test_nonzero_origin_fails_amenability_at_zero():
     assert profile.amenable.fails
     assert profile.amenable.witness.data["x"] == 0.0
     assert profile.limit_at_zero == 1.0
+
+
+def test_first_evaluation_error_follows_the_screens_order():
+    # 0, then the probe 1.0 while f(0) = 0, then the rest ascending, then
+    # the pair sums in schedule order
+    grid = GridSpec(x_max=10.0, n_points=100, seed=1)
+    after_1 = sample_points(grid)[sample_points(grid).index(1.0) + 1]
+    cases = [("piece(x < 0.5 ? x : 1/(x - 1))", DomainError, 1.0),
+             ("piece(x < 0.5 ? 1 : 1/(x - 1))", OutOfCodomain,
+              min(p for p in sample_points(grid) if p >= 0.5)),
+             ("piece(x <= 1 ? x : x - 100)", OutOfCodomain, after_1),
+             ("piece(x <= 10 ? x : x - 100)", OutOfCodomain,
+              next(a + b for a, b in sample_pairs(grid, sample_points(grid))
+                   if a + b > 10.0))]
+    for source, error, x in cases:
+        with pytest.raises(error) as excinfo:
+            classify_fn(parse_fn(source), grid)
+        assert excinfo.value.x == x, source
 
 
 def test_decreasing_stretch_is_caught():

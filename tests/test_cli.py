@@ -63,6 +63,14 @@ def test_realize_rejects_out_of_range_sides(capsys, argv):
     assert "usage error" in err
 
 
+def test_realize_rejects_a_side_that_underflows(capsys):
+    code, doc, err = run(capsys, "realize", "1e-400", "4", "5")
+    assert code == 64
+    assert doc is None
+    assert "'1e-400' underflows to 0 as a float" in err
+    assert len(err) < 300  # no 401-digit denominator
+
+
 def test_fn_eval(capsys):
     code, doc, err = run(capsys, "fn", "eval", "min(x, 1)", "--at", "3")
     assert code == 0
@@ -126,6 +134,15 @@ def test_rounding_a_nan_is_undecidable(capsys, source):
     code, _, err = run(capsys, "fn", "eval", source, "--at", "1e200")
     assert code == 2
     assert "undecidable input: NaN during evaluation" in err
+
+
+@pytest.mark.parametrize("source", ["min(1, x*x - x*x)", "max(x*x - x*x, 1)"])
+def test_min_max_of_a_nan_is_undecidable(capsys, source):
+    # a NaN argument must not be dropped by the comparison
+    code, doc, err = run(capsys, "fn", "eval", source, "--at", "1e200")
+    assert code == 2
+    assert doc is None
+    assert "undecidable input: NaN during evaluation (at x = 1e+200)" in err
 
 
 def test_bad_expression_reports_position(capsys):

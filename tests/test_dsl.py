@@ -4,17 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gmetrix import eval_exact, eval_fn, exact_capable, parse_fn
-from gmetrix.dsl import Bin, Call, Lit, Neg, Piece, Var
+from gmetrix.dsl import Bin, Call, Lit, Neg, Piece, Var, _emit_source
 from gmetrix.errors import (
     DomainError,
+    EvalError,
     NonFinite,
     OutOfCodomain,
     ParseError,
     PreconditionViolated,
     UnknownIdentifier,
 )
+from oracles import reference_eval
 
 # Twenty expressions with independently written references. Every function
 # is nonnegative over the sample points, so evaluation never rejects.
@@ -107,7 +110,8 @@ def test_piece_cap():
             return "1"
         return f"piece(x < {depth} ? 0 : {nested(depth - 1)})"
 
-    parse_fn(nested(8))  # exactly at the cap
+    at_cap = parse_fn(nested(8))  # exactly at the cap
+    assert_entries_agree(at_cap, [0.0, 0.5, 1.0, 4.5, 8.0, 9.0])
     with pytest.raises(ParseError) as excinfo:
         parse_fn(nested(9))
     assert "piece branches" in str(excinfo.value)
@@ -131,11 +135,31 @@ NESTINGS = {
 @pytest.mark.parametrize("shape", sorted(NESTINGS))
 def test_nesting_cap(shape):
     build, column = NESTINGS[shape]
-    eval_fn(parse_fn(build(NESTING_CAP)), 0.0)  # exactly at the cap
+    assert_entries_agree(parse_fn(build(NESTING_CAP)),  # exactly at the cap
+                         [0.0, 0.5, 1.0, 2.0])
     with pytest.raises(ParseError) as excinfo:
         parse_fn(build(NESTING_CAP + 1))
     assert (excinfo.value.line, excinfo.value.column) == (1, column)
     assert f"nested deeper than {NESTING_CAP}" in str(excinfo.value)
+
+
+def test_wide_min():
+    fn = parse_fn("min(" + ", ".join(["x + 1"] * 2999 + ["x*x - x*x"]) + ")")
+    assert len(fn.ast.args) == 3000
+    assert_entries_agree(fn, [0.0, 1.0, 1e300])  # NaN at 1e300
+
+
+def test_emitted_source_holds_float_reprs_only():
+    source = _emit_source(parse_fn("x + 0.50").ast)
+    assert "x + 0.5\n" in source
+    assert "0.50" not in source
+
+
+def test_min_max_keep_the_first_of_equal_arguments():
+    # 0.0 == -0.0, so the earlier argument wins, as with Python's min and max
+    for source, sign in (("min(x, -x)", 1.0), ("max(x, -x)", 1.0),
+                         ("min(-x, x)", -1.0), ("max(-x, x)", -1.0)):
+        assert math.copysign(1.0, eval_fn(parse_fn(source), 0.0)) == sign
 
 
 def test_literal_must_fit_a_float():
@@ -185,13 +209,20 @@ def test_domain_errors():
         eval_fn(parse_fn("log1p(0 - 2)"), 0.0)
     with pytest.raises(DomainError):
         eval_fn(parse_fn("(0 - 1) ^ x"), 2.0)
+    with pytest.raises(DomainError, match="zero base with negative exponent"):
+        eval_fn(parse_fn("x ^ (0 - 0.5)"), 0.0)
+    # a zero denominator is found before the numerator is evaluated
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_fn(parse_fn("sqrt(x - 5) / (x - x)"), 1.0)
 
 
 def test_nonfinite_and_codomain_errors():
     with pytest.raises(NonFinite):
         eval_fn(parse_fn("exp(x ^ 2)"), 100.0)
-    # inf - inf is NaN, which math.floor and math.ceil refuse
-    for source in ("floor(x*x - x*x)", "ceil(x*x - x*x)"):
+    # inf - inf is NaN, which floor, ceil, min and max refuse
+    for source in ("floor(x*x - x*x)", "ceil(x*x - x*x)",
+                   "min(1, x*x - x*x)", "min(x*x - x*x, 1)",
+                   "max(1, x*x - x*x)", "max(x*x - x*x, 1)"):
         with pytest.raises(NonFinite, match="NaN during evaluation"):
             eval_fn(parse_fn(source), 1e200)
     with pytest.raises(OutOfCodomain) as excinfo:
@@ -222,3 +253,66 @@ def test_exact_evaluation_matches_floats():
 def test_exact_evaluation_rejects_foreign_trees():
     with pytest.raises(PreconditionViolated):
         eval_exact(parse_fn("x / 2").ast, Fraction(1))
+
+
+# --- the generated evaluator against the reference interpreter ---------------
+
+def _outcome(call):
+    """A float's repr, or the type and message of the evaluation error."""
+    try:
+        return repr(call())
+    except EvalError as err:
+        return (type(err).__name__, str(err))
+
+
+def assert_entries_agree(fn, xs):
+    """eval_fn, the batch entry and the reference interpreter agree on every
+    x; a batch stops at its first failing x with the values before it."""
+    singles = [_outcome(lambda: eval_fn(fn, x)) for x in xs]
+    assert singles == [_outcome(lambda: reference_eval(fn.ast, x)) for x in xs]
+    batch: list[float] = []
+    failed = _outcome(lambda: fn.runner(xs, batch))
+    prefix = [repr(v) for v in batch]
+    assert prefix == singles[:len(batch)]
+    if len(batch) < len(xs):
+        assert failed == singles[len(batch)]
+    else:
+        assert failed == "None"
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "10", "0.001", "400",
+                            "1/3"])
+_XS = st.one_of(st.sampled_from([0.0, 1.0, 1e200]),
+                st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+                st.floats(min_value=0.0, max_value=50.0))
+
+
+def _expressions():
+    def grow(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(
+            st.builds(lambda p, op: f"({p[0]} {op} {p[1]})", pairs,
+                      st.sampled_from("+-*/^")),
+            st.builds(lambda e: f"(-{e})", inner),
+            st.builds(lambda name, e: f"{name}({e})",
+                      st.sampled_from(["sqrt", "exp", "log1p", "abs",
+                                       "floor", "ceil"]), inner),
+            st.builds(lambda name, args: f"{name}({', '.join(args)})",
+                      st.sampled_from(["min", "max"]),
+                      st.lists(inner, min_size=2, max_size=4)),
+            st.builds(lambda op, t, p: f"piece(x {op} {t} ? {p[0]} : {p[1]})",
+                      st.sampled_from(["<", "<="]), _NUMBERS, pairs),
+        )
+    # the last leaf is inf - inf = NaN at x = 1e200
+    leaves = st.one_of(st.sampled_from(["x", "(x * x - x * x)"]), _NUMBERS)
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), st.lists(_XS, min_size=1, max_size=6))
+def test_generated_evaluator_matches_reference(source, xs):
+    try:
+        fn = parse_fn(source)
+    except ParseError:  # more piece branches than the cap
+        assume(False)
+    assert_entries_agree(fn, xs)

@@ -34,6 +34,7 @@ from gmetrix import (
 )
 from gmetrix import preservation
 from gmetrix.errors import (
+    DomainError,
     NonFinite,
     NonzeroDiagonal,
     PreconditionViolated,
@@ -92,6 +93,17 @@ def test_pushforward_float_path_rejects_an_entry_past_float_range():
         pushforward(parse_fn("sqrt(x)"), table)
     # the exact path needs no float, so the entry is fine there
     assert pushforward(parse_fn("x + x"), table).entry(0, 1) == 2 * 10 ** 400
+
+
+def test_pushforward_float_path_fails_at_the_first_bad_entry():
+    # distinct entries in row-major order: 0, 7, 1e400, 4
+    table = new_distance_table(["x", "y", "z"], [[0, 7, "1e400"],
+                                                 [7, 0, 4],
+                                                 ["1e400", 4, 0]])
+    with pytest.raises(DomainError, match="division by zero"):
+        pushforward(parse_fn("sqrt(x) / (x - 7)"), table)
+    with pytest.raises(NonFinite, match="table entry outside the float range"):
+        pushforward(parse_fn("sqrt(x) / (x - 4)"), table)
 
 
 def test_budget_rejects_a_scale_whose_double_overflows():

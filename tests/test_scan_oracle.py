@@ -25,6 +25,7 @@ from gmetrix import (
     parse_fn,
     sample_triplets,
 )
+from gmetrix.errors import OutOfCodomain
 
 from oracles import brute_triplet_constant
 
@@ -42,6 +43,13 @@ PYTHON_FNS = {
     # constant comes from a random triplet and pins the stream's order
     "piece(x <= 38.1 ? x : piece(x < 39.9 ? 0 : x))":
         lambda x: x if x <= 38.1 else (0.0 if x < 39.9 else x),
+    # negative past 30: an infinite constant (sample 37) comes before the
+    # first failing entry (sample 41), both in the first batch of triplets
+    "piece(x < 25 ? x : piece(x < 30 ? 0 : x - 100))":
+        lambda x: x if x < 25 else (0.0 if x < 30 else x - 100.0),
+    # the same with the windows swapped: the failing entry comes first
+    "piece(x < 25 ? x : piece(x < 27 ? x - 100 : 0))":
+        lambda x: x if x < 25 else (x - 100.0 if x < 27 else 0.0),
 }
 
 
@@ -125,3 +133,29 @@ def test_search_stops_at_the_first_infinite_constant():
     assert witness.samples_used == used
     assert witness.triplet == triplet and witness.images == images
     assert witness.constant == math.inf
+
+
+@pytest.mark.parametrize("source", [
+    "piece(x < 25 ? x : piece(x < 30 ? 0 : x - 100))",
+    "piece(x < 25 ? x : piece(x < 27 ? x - 100 : 0))",
+])
+def test_search_stops_at_whichever_comes_first(source):
+    # the scan evaluates its entries in batches; as one at a time, the first
+    # infinite constant ends it, and the first failing entry raises
+    f = PYTHON_FNS[source]
+    stream = islice(scan_stream(BUDGET.seed, BUDGET.effective_scale()),
+                    BUDGET.triplet_samples)
+    for used, t in enumerate(stream, 1):
+        images = tuple(f(v) for v in t)
+        failing = [v for v, image in zip(t, images) if image < 0]
+        if failing:
+            with pytest.raises(OutOfCodomain) as excinfo:
+                counterexample_search(parse_fn(source), ClassTag.B, BUDGET)
+            assert excinfo.value.x == failing[0]
+            return
+        if brute_triplet_constant(*map(Fraction, images)) is None:
+            witness = counterexample_search(parse_fn(source), ClassTag.B,
+                                            BUDGET)
+            assert witness.samples_used == used and witness.triplet == t
+            return
+    pytest.fail("the stream has no infinite constant and no failing entry")
