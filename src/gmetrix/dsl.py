@@ -379,11 +379,6 @@ _CALLS = {"sqrt": "_sqrt({})", "exp": "_exp({})", "log1p": "_log1p({})",
 _LARGEST = repr(sys.float_info.max)
 
 
-def _safe(node: Node) -> bool:
-    """Literals and x are nonnegative and never NaN."""
-    return isinstance(node, (Lit, Var))
-
-
 class _Emitter:
     """Statements computing a tree's nodes, one assignment per node."""
 
@@ -414,21 +409,18 @@ class _Emitter:
         if isinstance(node, Bin) and node.op == "/":
             # the denominator first: its zero test precedes the numerator
             right = self.value(node.right, pad)
-            if not (isinstance(node.right, Lit) and node.right.value):
-                self.guard(pad, f"{right} == 0.0",
-                           "DomainError(x, 'division by zero')")
+            self.guard(pad, f"{right} == 0.0",
+                       "DomainError(x, 'division by zero')")
             return self.assign(pad, f"{self.value(node.left, pad)} / {right}")
         if isinstance(node, Bin):
             left, right = self.value(node.left, pad), self.value(node.right, pad)
             if node.op != "^":
                 return self.assign(pad,
                                    f"{left} {_ARITHMETIC[node.op]} {right}")
-            if not _safe(node.left):
-                self.guard(pad, f"{left} < 0.0", "DomainError(x, "
-                           f"f\"negative base {{{left}!r}} under '^'\")")
-            if not _safe(node.right):
-                self.guard(pad, f"{left} == 0.0 and {right} < 0.0",
-                           "DomainError(x, 'zero base with negative exponent')")
+            self.guard(pad, f"{left} < 0.0", "DomainError(x, "
+                       f"f\"negative base {{{left}!r}} under '^'\")")
+            self.guard(pad, f"{left} == 0.0 and {right} < 0.0",
+                       "DomainError(x, 'zero base with negative exponent')")
             return self.assign(pad, f"{left} ** {right}")
         if isinstance(node, Call):
             return self.call(node, pad)
@@ -453,22 +445,18 @@ class _Emitter:
             out = self.assign(pad, first)
             self.lines.extend(f"{pad}if {a} {relation} {out}: {out} = {a}"
                               for a in args[1:])
-            nan_tests = [f"{a} != {a}"
-                         for a, arg in zip(args, node.args) if not _safe(arg)]
-            if nan_tests:
-                self.guard(pad, " or ".join(nan_tests),
-                           "NonFinite(x, 'NaN during evaluation')")
+            self.guard(pad, " or ".join(f"{a} != {a}" for a in args),
+                       "NonFinite(x, 'NaN during evaluation')")
             return out
-        if not _safe(node.args[0]):
-            if name == "sqrt":
-                self.guard(pad, f"{first} < 0.0", "DomainError("
-                           f"x, f'sqrt of negative value {{{first}!r}}')")
-            elif name == "log1p":
-                self.guard(pad, f"{first} <= -1.0", "DomainError("
-                           f"x, f'log1p at {{{first}!r}} (needs > -1)')")
-            elif name in ("floor", "ceil"):
-                self.guard(pad, f"{first} != {first}",
-                           "NonFinite(x, 'NaN during evaluation')")
+        if name == "sqrt":
+            self.guard(pad, f"{first} < 0.0", "DomainError("
+                       f"x, f'sqrt of negative value {{{first}!r}}')")
+        elif name == "log1p":
+            self.guard(pad, f"{first} <= -1.0", "DomainError("
+                       f"x, f'log1p at {{{first}!r}} (needs > -1)')")
+        elif name in ("floor", "ceil"):
+            self.guard(pad, f"{first} != {first}",
+                       "NonFinite(x, 'NaN during evaluation')")
         return self.assign(pad, _CALLS[name].format(first))
 
 
@@ -478,8 +466,9 @@ def _emit_source(ast: Node) -> str:
     One assignment per node, so the compiler meets no nesting deeper than
     the eight piece branches. Literals enter as repr(float); operators and
     function names are looked up in fixed tables, so no text of the
-    expression reaches the source. A guard is left out only where it can
-    never fire, on a literal or x.
+    expression reaches the source. Every guard is emitted, also on a
+    literal operand, so a literal whose float underflows to 0 still meets
+    the division-by-zero check.
     """
     emitter = _Emitter()
     result = emitter.value(ast, " " * 12)

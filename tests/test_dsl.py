@@ -198,6 +198,9 @@ def test_ast_shapes():
     assert isinstance(lit, Lit) and lit.value == Fraction(1, 8)
 
 
+_UNDERFLOWS = "0." + "0" * 330 + "1"  # exactly nonzero, 0.0 as a float
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         eval_fn(parse_fn("x"), -1.0)
@@ -214,6 +217,9 @@ def test_domain_errors():
     # a zero denominator is found before the numerator is evaluated
     with pytest.raises(DomainError, match="division by zero"):
         eval_fn(parse_fn("sqrt(x - 5) / (x - x)"), 1.0)
+    # a nonzero literal whose float underflows to 0 is a zero denominator
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_fn(parse_fn(f"x / {_UNDERFLOWS}"), 1.0)
 
 
 def test_nonfinite_and_codomain_errors():
@@ -281,7 +287,7 @@ def assert_entries_agree(fn, xs):
 
 
 _NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "10", "0.001", "400",
-                            "1/3"])
+                            "1/3", _UNDERFLOWS])
 _XS = st.one_of(st.sampled_from([0.0, 1.0, 1e200]),
                 st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
                 st.floats(min_value=0.0, max_value=50.0))
