@@ -145,15 +145,6 @@ def test_min_max_of_a_nan_is_undecidable(capsys, source):
     assert "undecidable input: NaN during evaluation (at x = 1e+200)" in err
 
 
-def test_division_by_a_literal_that_underflows_is_undecidable(capsys):
-    # the literal is nonzero, but its float is 0.0
-    code, doc, err = run(capsys, "fn", "eval", "x / 0." + "0" * 330 + "1",
-                         "--at", "1")
-    assert code == 2
-    assert doc is None
-    assert "undecidable input: division by zero (at x = 1.0)" in err
-
-
 def test_bad_expression_reports_position(capsys):
     code, _, err = run(capsys, "fn", "eval", "2x", "--at", "1")
     assert code == 64
