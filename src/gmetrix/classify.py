@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import tee
 from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn, eval_fn
@@ -83,13 +83,7 @@ def sample_points(grid: GridSpec) -> list[float]:
     step = grid.x_max / (grid.n_points - 1)
     for i in range(grid.n_points):
         pts.add(i * step)
-    k = 1
-    while True:
-        x = grid.x_max * 2.0 ** -k
-        if x < _GEO_FLOOR:
-            break
-        pts.add(x)
-        k += 1
+    pts.update(_geometric_tail(grid.x_max, _GEO_FLOOR))
     for _ in range(min(1000, grid.n_points)):
         pts.add(rng.uniform(0.0, grid.x_max))
     if grid.x_max >= 1.0:
@@ -158,8 +152,8 @@ def verify_plateau(f: RealFn, b: float) -> Optional[tuple[float, float]]:
     if not (b > 0 and math.isfinite(b)):
         raise PreconditionViolated("plateau edge b must be positive and finite")
     a = eval_fn(f, b)
-    for x in _geometric_tail(b, b * 2.0 ** -30):
-        value = eval_fn(f, x)
+    # lazy: the first mismatch ends the check before later points are met
+    for value in f.runner(_geometric_tail(b, b * 2.0 ** -30)):
         if abs(value - a) > REL_TOL * max(1.0, abs(a)):
             return None
     if a <= 0.0:
@@ -173,13 +167,12 @@ def _point_values(f: RealFn, points: list[float]) -> dict[float, float]:
     amenability, then the rest ascending), so the first error names the
     same x."""
     order = points[:1]
-    values: list[float] = []
-    f.runner(order, values)
+    values = list(f.runner(order))
     rest = points[1:]
     if values[0] == 0.0 and 1.0 in rest:
         rest.remove(1.0)
         rest.insert(0, 1.0)
-    f.runner(rest, values)
+    values += f.runner(rest)
     return dict(zip(order + rest, values))
 
 
@@ -226,8 +219,7 @@ def _limit_at_zero(f: RealFn, x_max: float) -> Optional[float]:
     tail = _geometric_tail(x_max, max(_GEO_FLOOR, x_max * 2.0 ** -30))
     if len(tail) < 4:
         return None
-    values: list[float] = []
-    f.runner(list(reversed(tail))[:4], values)  # four smallest samples
+    values = list(f.runner(list(reversed(tail))[:4]))  # four smallest samples
     vanishing = all(abs(values[i]) <= 0.75 * abs(values[i + 1]) + 1e-300
                     for i in range(len(values) - 1))
     if vanishing:
@@ -238,19 +230,6 @@ def _limit_at_zero(f: RealFn, x_max: float) -> Optional[float]:
     if stable:
         return values[0]
     return None
-
-
-_PAIR_CHUNK = 1024  # pairs per batch; the whole schedule would cost memory
-
-
-def _pair_sums(f: RealFn, pairs: Iterator[tuple[float, float]]
-               ) -> Iterator[tuple[float, float, float]]:
-    """(a, b, f(a + b)) for each pair, evaluated a chunk at a time."""
-    while chunk := list(islice(pairs, _PAIR_CHUNK)):
-        sums: list[float] = []
-        f.runner([a + b for a, b in chunk], sums)
-        for (a, b), fab in zip(chunk, sums):
-            yield a, b, fab
 
 
 def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
@@ -270,7 +249,7 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     # one pass over the pair schedule feeds both subadditivity views; each
     # view keeps the (a, b, f(a), f(b), f(a + b)) of the first pair that
     # sets its maximum, and a witness is built only for a failing verdict.
-    # The sums are evaluated a chunk of the schedule at a time, in order.
+    # The two copies of the schedule advance in step, so it is never held.
     max_defect = -math.inf
     defect_at = None
     defect_violates = False
@@ -280,7 +259,8 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     ratio_at = None
     pair_count = 0
     octave_split = grid.x_max
-    for a, b, fab in _pair_sums(f, sample_pairs(grid, points)):
+    pairs, sums = tee(sample_pairs(grid, points))
+    for (a, b), fab in zip(pairs, f.runner(a + b for a, b in sums)):
         pair_count += 1
         fa, fb = value_at[a], value_at[b]
         defect = fab - fa - fb

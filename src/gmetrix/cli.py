@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import axioms
 from .classify import GridSpec, classify_fn
@@ -336,6 +337,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
                         help="triplet entry scale (default 2 * x-max)")
 
 
+@cache  # built once per process; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gmetrix",
                      description="verification toolkit for generalized "

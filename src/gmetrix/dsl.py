@@ -24,16 +24,18 @@ Evaluation is in floats. Intermediate values may leave [0, inf) (e.g. the
 "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt of
 a negative intermediate, log1p at or below -1, a division by zero, or a
 negative base under "^" raises DomainError; overflow, inf, or NaN raises
-NonFinite (also floor, ceil, min or max of an intermediate NaN, so no
-comparison drops a NaN); a negative final value raises OutOfCodomain.
+NonFinite (also floor, ceil, min, max or "^" of an intermediate NaN, so no
+comparison or power drops a NaN); a negative final value raises
+OutOfCodomain.
 
 Each RealFn is compiled, on its first float evaluation, to one generated
-Python function (`RealFn.runner`): straight-line code with one assignment
-per tree node and every check above inline, looping over a batch of x
-values in one frame. Callers that evaluate many points hand it whole
-batches; eval_fn is the single-x entry on top of it. The generated text is
-built from fixed names, repr(float) literals and the grammar's operators
-only, never from the expression's own text.
+Python generator (`RealFn.runner`): straight-line code with one assignment
+per tree node and every check above inline, in a loop that pulls each x
+only when its value is asked for and yields f(x). A failing x raises after
+the values before it have been yielded. Callers zip the values with the xs
+they passed in; eval_fn is the single-x entry on top of it. The generated
+text is built from fixed names, repr(float) literals and the grammar's
+operators only, never from the expression's own text.
 
 Expressions built only from "+", "*", "min", "max", literals, and "x" also
 evaluate exactly over rationals (see exact_capable / eval_exact); table
@@ -47,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
     DomainError,
@@ -348,7 +350,7 @@ def _count_pieces(node: Node) -> int:
     return 0
 
 
-# --- the generated batch evaluator ---------------------------------------------------
+# --- the generated evaluator ---------------------------------------------------------
 
 def _reject(x: float, value: float) -> None:
     """Raise for a final value outside [0, inf): NaN and infinities are
@@ -421,6 +423,9 @@ class _Emitter:
                        f"f\"negative base {{{left}!r}} under '^'\")")
             self.guard(pad, f"{left} == 0.0 and {right} < 0.0",
                        "DomainError(x, 'zero base with negative exponent')")
+            # IEEE pow gives 1 for 1 ^ NaN and NaN ^ 0, which would drop it
+            self.guard(pad, f"{left} != {left} or {right} != {right}",
+                       "NonFinite(x, 'NaN during evaluation')")
             return self.assign(pad, f"{left} ** {right}")
         if isinstance(node, Call):
             return self.call(node, pad)
@@ -461,7 +466,7 @@ class _Emitter:
 
 
 def _emit_source(ast: Node) -> str:
-    """Python source of the batch entry `run(xs, out)` for one tree.
+    """Python source of the generator `run(xs)` for one tree.
 
     One assignment per node, so the compiler meets no nesting deeper than
     the eight piece branches. Literals enter as repr(float); operators and
@@ -474,8 +479,7 @@ def _emit_source(ast: Node) -> str:
     result = emitter.value(ast, " " * 12)
     body = "\n".join(emitter.lines) or " " * 12 + "pass"
     return f"""\
-def run(xs, out):
-    append = out.append
+def run(xs):
     for x in xs:
         if not x >= 0.0:
             raise DomainError(x, "argument outside [0, inf)")
@@ -485,7 +489,7 @@ def run(xs, out):
             raise NonFinite(x, "overflow during evaluation") from None
         if not 0.0 <= {result} <= {_LARGEST}:
             _reject(x, {result})
-        append({result})
+        yield {result}
 """
 
 
@@ -497,11 +501,11 @@ class RealFn:
     ast: Node
 
     @cached_property
-    def runner(self) -> Callable[[Iterable[float], list[float]], None]:
-        """The batch entry `run(xs, out)`, generated and compiled on first
-        use: it appends f(x) to out for each float x in order, with every
-        check of eval_fn. When an x fails, out holds the values before it
-        and the error names that x."""
+    def runner(self) -> Callable[[Iterable[float]], Iterator[float]]:
+        """The generator `run(xs)`, generated and compiled on first use: it
+        pulls each float x only when its value is asked for and yields f(x),
+        with every check of eval_fn. When an x fails, the values before it
+        have been yielded and the error names that x."""
         namespace = dict(_NAMESPACE)
         exec(compile(_emit_source(self.ast), "<gmetrix expression>", "exec"),
              namespace)
@@ -532,9 +536,7 @@ def parse_fn(text: str) -> RealFn:
 
 def eval_fn(fn: RealFn, x) -> float:
     """Evaluate at x >= 0; the final value must land back in [0, inf)."""
-    out: list[float] = []
-    fn.runner((float(x),), out)
-    return out[0]
+    return next(fn.runner((float(x),)))
 
 
 # --- exact fragment -------------------------------------------------------------------

@@ -15,10 +15,11 @@ class it stays Inconclusive because a point-dependent bound table could still
 exist.
 
 The image-triplet scan (last rung, and the search) reads plain (a, b, c)
-tuples, evaluates their entries a chunk of triplets at a time through the
-expression's batch entry, with all of `eval_fn`'s checks, and scores each
-image with `triplets._constant`, the formula of `triplet_constant`. Only a
-search witness becomes a `Triplet`, to be realized in the plane.
+tuples and zips each with the next three values of the expression's
+evaluation stream, with all of `eval_fn`'s checks; an entry is evaluated
+only when the scan reaches it. It scores each image with
+`triplets._constant`, the formula of `triplet_constant`. Only a search
+witness becomes a `Triplet`, to be realized in the plane.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice, product, tee
 from typing import Mapping, Optional
 
 from . import axioms
 from .classify import GridSpec, classify_fn, diverged
 from .dsl import RealFn, eval_exact, exact_capable, parse_fn
 from .errors import (
-    EvalError,
     NonFinite,
+    NonzeroDiagonal,
     PreconditionViolated,
     SourceClassViolated,
     UnsupportedClass,
@@ -48,6 +49,7 @@ from .model import (
     Witness,
     constant_theta,
     encode_value,
+    fails,
     new_theta_table,
     random_space,
 )
@@ -87,18 +89,16 @@ def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
     Expressions in the exact fragment (+, *, min, max, literals, x) are
     evaluated over rationals, so e.g. the identity expression reproduces the
     table bit for bit. Everything else evaluates the distinct entries in
-    floats, in one batch in row-major order, and converts the results
-    exactly; the first entry that fails, or lies beyond the float range
-    (NonFinite), raises. A nonzero f(0) surfaces as the constructor's diagonal error, since the
+    floats, in row-major order, and converts the results exactly; the first
+    entry that fails, or lies beyond the float range (NonFinite), raises. A
+    nonzero f(0) surfaces as the constructor's NonzeroDiagonal, since the
     image of the diagonal must stay zero.
     """
     distinct = list(dict.fromkeys(chain.from_iterable(table.entries)))
     if exact_capable(f.ast):
         images = [eval_exact(f.ast, value) for value in distinct]
     else:
-        floats: list[float] = []
-        f.runner(_entry_floats(distinct), floats)
-        images = map(Fraction, floats)
+        images = map(Fraction, f.runner(_entry_floats(distinct)))
     image_of = dict(zip(distinct, images))
     rows = tuple(tuple(map(image_of.__getitem__, row))
                  for row in table.entries)
@@ -123,7 +123,8 @@ def preserve_check(f: RealFn, table: DistanceTable,
     The input must satisfy the source axioms the target implies (metric for a
     metric image, ultrametric for the ultra and weak-ultra images, just the
     identity axiom for the relaxed images). The verdict is exact; for the
-    relaxed targets it reports the optimal constant of the image.
+    relaxed targets it reports the optimal constant of the image. A nonzero
+    f(0) fails every target, since the image of d(p, p) = 0 is not 0.
     """
     if not (isinstance(target, ClassTag) and target.is_space):
         raise UnsupportedClass(f"{target!r} is not a space kind")
@@ -136,7 +137,15 @@ def preserve_check(f: RealFn, table: DistanceTable,
     if not source.holds:
         raise SourceClassViolated(
             f"input is not {source_name}: {source.witness.description}")
-    return axioms.verify_as(pushforward(f, table), target)
+    try:
+        image = pushforward(f, table)
+    except NonzeroDiagonal as err:
+        p = table.points[err.i]
+        return fails(Witness(
+            description=(f"f(d({p},{p})) = f(0) = {err.value}, but the "
+                         f"image of d({p},{p}) = 0 must be 0"),
+            points=(p,), lhs=err.value, rhs=Fraction(0), data={"i": err.i}))
+    return axioms.verify_as(image, target)
 
 
 # --- membership ------------------------------------------------------------------
@@ -231,27 +240,6 @@ def _mixed_triplets(seed: int, scale: float):
         yield b
 
 
-_TRIPLET_CHUNK = 512  # triplets per batch
-
-
-def _with_images(f: RealFn, samples):
-    """Each sampled triplet with its image (f(a), f(b), f(c)), evaluated a
-    chunk at a time. When an entry fails, the complete samples before it
-    come out first and then its error, so a scan that stops on an earlier
-    sample never sees it."""
-    while chunk := list(islice(samples, _TRIPLET_CHUNK)):
-        values: list[float] = []
-        error = None
-        try:
-            f.runner(chain.from_iterable(chunk), values)
-        except EvalError as err:
-            error = err
-        entries = iter(values)
-        yield from zip(chunk, zip(entries, entries, entries))
-        if error is not None:
-            raise error
-
-
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
     sup = 0.0
@@ -261,9 +249,13 @@ def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     infinite = None
     used = 0
     split = scale / 2.0
-    samples = islice(_mixed_triplets(budget.seed, scale),
-                     budget.triplet_samples)
-    for t, images in _with_images(f, samples):
+    # the two copies advance in step, and an entry is evaluated only when
+    # the scan reaches it, so a scan that stops early never meets a later
+    # entry's error
+    samples, entries = tee(islice(_mixed_triplets(budget.seed, scale),
+                                  budget.triplet_samples))
+    values = f.runner(chain.from_iterable(entries))
+    for t, images in zip(samples, zip(values, values, values)):
         used += 1
         constant = _constant(*images)
         if constant == math.inf:

@@ -141,8 +141,8 @@ def region_check(f: RealFn, spec: RegionSpec) -> RegionReport:
         lower_slack = REL_TOL * max(1.0, abs(lower))
         upper_slack = REL_TOL * max(1.0, abs(upper))
         first: Optional[Witness] = None
-        for x in _interval_samples(spec, n):
-            value = eval_fn(f, x)
+        xs = _interval_samples(spec, n)
+        for x, value in zip(xs, f.runner(xs)):
             side = None
             if value < lower - lower_slack:
                 side = "lower"
@@ -229,10 +229,9 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
                            n * spec.b, (n + 1) * spec.b, "#06a"))
 
     steps = 64 * (spec.n_max + 1)
-    coords = []
-    for i in range(steps + 1):
-        x = x_span * i / steps
-        coords.append(f"{_fmt(px(x))},{_fmt(py(eval_fn(f, x)))}")
+    xs = [x_span * i / steps for i in range(steps + 1)]
+    coords = [f"{_fmt(px(x))},{_fmt(py(value))}"
+              for x, value in zip(xs, f.runner(xs))]
     parts.append(f'<polyline id="fn-path" points="{" ".join(coords)}" '
                  f'fill="none" stroke="#c22" stroke-width="1.5"/>')
 

@@ -161,7 +161,7 @@ def reference_eval(ast, x):
     """f(x) for a parsed tree by a plain recursive walk in floats, with the
     language's rules: x in [0, inf); a sqrt of a negative value, log1p at or
     below -1, division by zero or a negative base under "^" is a domain
-    error; overflow, a NaN reaching floor, ceil, min or max, and a
+    error; overflow, a NaN reaching floor, ceil, min, max or "^", and a
     non-finite result are non-finite; a negative result is out of the
     codomain."""
     if math.isnan(x) or x < 0.0:
@@ -207,6 +207,8 @@ def _walk(node, x):
             raise DomainError(x, f"negative base {left!r} under '^'")
         if left == 0.0 and right < 0.0:
             raise DomainError(x, "zero base with negative exponent")
+        if math.isnan(left) or math.isnan(right):  # pow(1, NaN) would be 1
+            raise NonFinite(x, "NaN during evaluation")
         return math.pow(left, right)
     assert isinstance(node, Call), node
     values = [_walk(arg, x) for arg in node.args]

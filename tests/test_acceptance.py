@@ -246,10 +246,8 @@ def test_criterion_07_member_bounds_cover_sampled_triplets():
 
         for name, (f, s) in members.items():
             bound = s * (1.0 + 1e-9)
-            images = []
-            f.runner(chain.from_iterable(pool), images)
-            entries = iter(images)
-            for (a, b, c), image in zip(pool, zip(entries, entries, entries)):
+            images = f.runner(chain.from_iterable(pool))
+            for (a, b, c), image in zip(pool, zip(images, images, images)):
                 assert is_s_triplet(Triplet(*image), bound), (name, a, b, c)
 
 

@@ -241,6 +241,10 @@ def test_verify_plateau():
     # constant on [1, b] only is not a plateau; (0, b] is the whole claim
     assert verify_plateau(parse_fn("min(x, 1)"), 3.0) is None
     assert verify_plateau(parse_fn("x^2"), 1.0) is None
+    # the first mismatch, f(0.5) = 0.5, ends the check before the sqrt of a
+    # negative value at x = 0.125 further down the tail is evaluated
+    assert verify_plateau(
+        parse_fn("piece(x <= 0.5 ? sqrt(x - 0.25) : 1)"), 1.0) is None
     # a plateau at level zero is rejected: the level must be positive
     assert verify_plateau(parse_fn("piece(x <= 1 ? 0 : 1)"), 1.0) is None
     with pytest.raises(PreconditionViolated):

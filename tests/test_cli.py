@@ -1,11 +1,15 @@
 """End-to-end command line behavior, run in process."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from gmetrix.cli import MAX_RANDOM_POINTS, main
+from test_dsl import _XS, _expressions
 
 
 def _reject_constant(token):
@@ -136,9 +140,10 @@ def test_rounding_a_nan_is_undecidable(capsys, source):
     assert "undecidable input: NaN during evaluation" in err
 
 
-@pytest.mark.parametrize("source", ["min(1, x*x - x*x)", "max(x*x - x*x, 1)"])
+@pytest.mark.parametrize("source", ["min(1, x*x - x*x)", "max(x*x - x*x, 1)",
+                                    "1 ^ (x*x - x*x)", "(x*x - x*x) ^ 0"])
 def test_min_max_of_a_nan_is_undecidable(capsys, source):
-    # a NaN argument must not be dropped by the comparison
+    # a NaN argument must not be dropped by the comparison or the power
     code, doc, err = run(capsys, "fn", "eval", source, "--at", "1e200")
     assert code == 2
     assert doc is None
@@ -306,6 +311,21 @@ def test_preserve_paths(capsys, tmp_path):
     assert "undecidable input" in err
 
 
+def test_preserve_with_a_nonzero_origin_fails(capsys, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text('{"points": ["x", "y", "z"], '
+                    '"entries": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "preserve", "x + 1", "--space", str(path),
+                       "--target", "b-metric")
+    assert code == 1
+    witness = out["verdict"]["witness"]
+    assert out["verdict"]["status"] == "fails"
+    assert witness["points"] == ["x"]
+    assert witness["description"] == (
+        "f(d(x,x)) = f(0) = 1, but the image of d(x,x) = 0 must be 0")
+
+
 def test_preserve_float_path_rejects_an_entry_past_float_range(capsys,
                                                               tmp_path):
     path = tmp_path / "huge.json"
@@ -469,3 +489,36 @@ def test_stdout_is_json_only(capsys):
                        "--points", "2000")
     assert code == 0
     assert err.strip()  # the human summary goes to stderr, not stdout
+
+
+# an ultrametric, so that every target's source premise holds and each
+# preserve call reaches the pushforward
+_ULTRAMETRIC = ('{"points": ["x", "y", "z"], '
+                '"entries": [[0, "1/2", 2], ["1/2", 0, 2], [2, 2, 0]]}')
+_TARGETS = ("metric", "ultrametric", "weak-ultrametric", "b-metric",
+            "extended-b-metric")
+
+
+@pytest.fixture(scope="module")
+def ultrametric_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spaces") / "ultrametric.json"
+    path.write_text(_ULTRAMETRIC, encoding="utf-8")
+    return str(path)
+
+
+def _exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=_expressions(), x=_XS)
+def test_expressions_never_exit_internal(ultrametric_file, source, x):
+    # an expression can hold, fail, be undecidable or be malformed, but it
+    # never reaches the internal-error exit
+    codes = {_exit_code("fn", "eval", source, "--at", repr(x)),
+             _exit_code("fn", "classify", source, "--points", "20")}
+    codes.update(_exit_code("preserve", source, "--space", ultrametric_file,
+                            "--target", target) for target in _TARGETS)
+    assert codes <= {0, 1, 2, 64}, (source, x, codes)

@@ -225,15 +225,34 @@ def test_domain_errors():
 def test_nonfinite_and_codomain_errors():
     with pytest.raises(NonFinite):
         eval_fn(parse_fn("exp(x ^ 2)"), 100.0)
-    # inf - inf is NaN, which floor, ceil, min and max refuse
+    # inf - inf is NaN, which floor, ceil, min, max and "^" refuse (IEEE
+    # pow would give 1 for 1 ^ NaN and NaN ^ 0)
     for source in ("floor(x*x - x*x)", "ceil(x*x - x*x)",
                    "min(1, x*x - x*x)", "min(x*x - x*x, 1)",
-                   "max(1, x*x - x*x)", "max(x*x - x*x, 1)"):
+                   "max(1, x*x - x*x)", "max(x*x - x*x, 1)",
+                   "1 ^ (x*x - x*x)", "(x*x - x*x) ^ 0"):
         with pytest.raises(NonFinite, match="NaN during evaluation"):
             eval_fn(parse_fn(source), 1e200)
     with pytest.raises(OutOfCodomain) as excinfo:
         eval_fn(parse_fn("x - 10"), 1.0)
     assert excinfo.value.value == -9.0
+
+
+def test_stream_pulls_each_x_only_when_its_value_is_asked_for():
+    pulled = []
+
+    def xs():
+        for x in (1.0, 4.0, -1.0):
+            pulled.append(x)
+            yield x
+
+    values = parse_fn("sqrt(x)").runner(xs())
+    assert pulled == []
+    assert next(values) == 1.0
+    assert pulled == [1.0]
+    assert next(values) == 2.0
+    with pytest.raises(DomainError, match="argument outside"):
+        next(values)
 
 
 def test_negative_intermediates_are_allowed():
@@ -272,12 +291,18 @@ def _outcome(call):
 
 
 def assert_entries_agree(fn, xs):
-    """eval_fn, the batch entry and the reference interpreter agree on every
-    x; a batch stops at its first failing x with the values before it."""
+    """eval_fn, the evaluation stream and the reference interpreter agree on
+    every x; a stream raises at its first failing x after yielding the
+    values before it."""
     singles = [_outcome(lambda: eval_fn(fn, x)) for x in xs]
     assert singles == [_outcome(lambda: reference_eval(fn.ast, x)) for x in xs]
     batch: list[float] = []
-    failed = _outcome(lambda: fn.runner(xs, batch))
+
+    def drain():
+        for value in fn.runner(xs):
+            batch.append(value)
+
+    failed = _outcome(drain)
     prefix = [repr(v) for v in batch]
     assert prefix == singles[:len(batch)]
     if len(batch) < len(xs):

@@ -145,6 +145,19 @@ def test_preserve_check_validates_the_source():
     assert preserve_check(parse_fn("x"), violator, ClassTag.B_METRIC).holds
 
 
+def test_preserve_with_a_nonzero_origin_fails_every_target():
+    # the image of the diagonal is f(0), so the image is no space at all
+    for source in ("x + 1", "sqrt(x) + 1"):
+        for target in (ClassTag.METRIC, ClassTag.B_METRIC,
+                       ClassTag.EXTENDED_B_METRIC):
+            verdict = preserve_check(parse_fn(source), PATH_SPACE, target)
+            assert verdict.fails, (source, target)
+            assert verdict.witness.points == ("x",)
+            assert verdict.witness.lhs == 1
+            assert verdict.witness.description == (
+                "f(d(x,x)) = f(0) = 1, but the image of d(x,x) = 0 must be 0")
+
+
 def test_preserve_check_rejects_function_class_targets():
     with pytest.raises(UnsupportedClass):
         preserve_check(parse_fn("x"), PATH_SPACE, ClassTag.EB)
