@@ -210,7 +210,8 @@ def _cmd_space_random(args) -> int:
 
 
 def _spec(kind, **fields):
-    """Build a sampling spec from flags; its precondition is a usage error."""
+    """Build or check a sampling spec from flags; its precondition is a
+    usage error."""
     try:
         return kind(**fields)
     except PreconditionViolated as err:
@@ -295,6 +296,7 @@ def _cmd_region(args) -> int:
     spec = _spec(RegionSpec, a=args.a, b=args.b, n_max=args.n,
                  samples_per_interval=args.samples)
     if args.region_command == "plot":
+        _spec(spec.plot_steps)
         report = emit_region_svg(f, spec, args.out)
         doc = report.to_json()
         doc["svg"] = args.out

@@ -20,9 +20,10 @@ exponent, function argument, piece branch and further operator of a "+-" or
 "*/" chain puts its operand one deeper. A literal must fit a float. Parse
 errors report 1-based line/column and what was expected.
 
-Evaluation is in floats. Intermediate values may leave [0, inf) (e.g. the
-"-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt of
-a negative intermediate, log1p at or below -1, a division by zero, or a
+Evaluation is in floats. An argument outside [0, inf), NaN and +inf
+included, raises DomainError. Intermediate values may leave [0, inf) (e.g.
+the "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt
+of a negative intermediate, log1p at or below -1, a division by zero, or a
 negative base under "^" raises DomainError; overflow, inf, or NaN raises
 NonFinite (also floor, ceil, min, max or "^" of an intermediate NaN, so no
 comparison or power drops a NaN); a negative final value raises
@@ -80,6 +81,10 @@ class _Token:
         return "end of input" if self.kind == "EOF" else repr(self.text)
 
 
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "?": "QUESTION",
+                ":": "COLON"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
@@ -123,16 +128,8 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch in "+-*/^":
             tokens.append(_Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(_Token("COMMA", ch, line, start_col))
-        elif ch == "?":
-            tokens.append(_Token("QUESTION", ch, line, start_col))
-        elif ch == ":":
-            tokens.append(_Token("COLON", ch, line, start_col))
+        elif ch in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[ch], ch, line, start_col))
         elif ch == "<":
             if i + 1 < n and text[i + 1] == "=":
                 tokens.append(_Token("LE", "<=", line, start_col))
@@ -205,6 +202,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.pieces = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -240,24 +238,16 @@ class _Parser:
         return node
 
     # Every nested operand is parsed by factor(), and a chain's tree nests
-    # to the left, so these three bound the depth of every later recursion.
-    def expr(self) -> Node:
+    # to the left, so these two bound the depth of every later recursion.
+    def expr(self, ops: str = "+-") -> Node:
+        """A left-nested chain: "+-" joins "*/" chains, "*/" joins factors."""
         depth = self.depth
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+        node = self.factor() if ops == "*/" else self.expr("*/")
+        while self.peek().kind == "OP" and self.peek().text in ops:
             op = self.advance().text
             self.deeper()
-            node = Bin(op, node, self.term())
-        self.depth = depth
-        return node
-
-    def term(self) -> Node:
-        depth = self.depth
-        node = self.factor()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            self.deeper()
-            node = Bin(op, node, self.factor())
+            node = Bin(op, node,
+                       self.factor() if ops == "*/" else self.expr("*/"))
         self.depth = depth
         return node
 
@@ -321,6 +311,7 @@ class _Parser:
 
     def piece(self) -> Node:
         self.advance()  # "piece"
+        self.pieces += 1
         self.expect("LPAREN", "'('")
         var_tok = self.expect("IDENT", "'x'")
         if var_tok.text != "x":
@@ -336,18 +327,6 @@ class _Parser:
         other = self.expr()
         self.expect("RPAREN", "')'")
         return Piece(op, threshold_tok.value, then, other)
-
-
-def _count_pieces(node: Node) -> int:
-    if isinstance(node, Piece):
-        return 1 + _count_pieces(node.then) + _count_pieces(node.other)
-    if isinstance(node, Bin):
-        return _count_pieces(node.left) + _count_pieces(node.right)
-    if isinstance(node, Neg):
-        return _count_pieces(node.operand)
-    if isinstance(node, Call):
-        return sum(_count_pieces(a) for a in node.args)
-    return 0
 
 
 # --- the generated evaluator ---------------------------------------------------------
@@ -481,7 +460,7 @@ def _emit_source(ast: Node) -> str:
     return f"""\
 def run(xs):
     for x in xs:
-        if not x >= 0.0:
+        if not 0.0 <= x <= {_LARGEST}:
             raise DomainError(x, "argument outside [0, inf)")
         try:
 {body}
@@ -525,12 +504,12 @@ def parse_fn(text: str) -> RealFn:
         eof = tokens[0]
         raise ParseError("empty expression", eof.line, eof.col,
                          expected=("an expression",))
-    ast = _Parser(tokens).parse()
-    pieces = _count_pieces(ast)
-    if pieces > _PIECE_CAP:
+    parser = _Parser(tokens)
+    ast = parser.parse()
+    if parser.pieces > _PIECE_CAP:
         raise ParseError(
-            f"{pieces} piece branches exceed the cap of {_PIECE_CAP}", 1, 1,
-            expected=(f"at most {_PIECE_CAP} piece branches",))
+            f"{parser.pieces} piece branches exceed the cap of {_PIECE_CAP}",
+            1, 1, expected=(f"at most {_PIECE_CAP} piece branches",))
     return RealFn(source=text, ast=ast)
 
 

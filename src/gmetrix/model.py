@@ -455,13 +455,13 @@ def _random_metric(rng: random.Random, n: int) -> DistanceTable:
 
 
 def _perturb(rng: random.Random, base: DistanceTable,
-             num_lo: int, num_hi: int, den: int) -> DistanceTable:
-    # multiply each unordered pair by a factor in [1 + num_lo/den, 1 + num_hi/den]
+             max_eighths: int) -> DistanceTable:
+    # multiply each unordered pair by 1 + k/8 for a random k in 0..max_eighths
     n = base.n
     entries = [list(row) for row in base.entries]
     for i in range(n):
         for j in range(i + 1, n):
-            factor = 1 + Fraction(rng.randint(num_lo, num_hi), den)
+            factor = 1 + Fraction(rng.randint(0, max_eighths), 8)
             entries[i][j] = base.entries[i][j] * factor
             entries[j][i] = entries[i][j]
     return DistanceTable(base.points, tuple(tuple(row) for row in entries))
@@ -487,12 +487,12 @@ def random_space(kind: ClassTag, n: int, seed: int
     if kind is ClassTag.METRIC:
         return _random_metric(rng, n), None
     if kind is ClassTag.WEAK_ULTRAMETRIC:
-        return _perturb(rng, _random_ultrametric(rng, n), 0, 8, 8), None
+        return _perturb(rng, _random_ultrametric(rng, n), 8), None
     if kind is ClassTag.B_METRIC:
-        return _perturb(rng, _random_metric(rng, n), 0, 8, 8), None
+        return _perturb(rng, _random_metric(rng, n), 8), None
     # extended: scale a metric per pair by factors in [1, 4], attach the
     # minimal bound table of the result
     from .axioms import minimal_theta
 
-    table = _perturb(rng, _random_metric(rng, n), 0, 24, 8)
+    table = _perturb(rng, _random_metric(rng, n), 24)
     return table, minimal_theta(table)

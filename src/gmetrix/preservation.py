@@ -512,13 +512,6 @@ class SuiteReport:
                 "assertions": [item.to_json() for item in self.assertions]}
 
 
-def _catalog_fn(name: str) -> RealFn:
-    for label, source in FUNCTION_CATALOG:
-        if label == name:
-            return parse_fn(source)
-    raise KeyError(name)
-
-
 def _generated_tables(kind: ClassTag, first_seed: int) -> list[DistanceTable]:
     """Six generated tables of each size from 2 to 6 points, seeded in turn
     from first_seed; built once and shared by every function a check runs."""
@@ -531,10 +524,12 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     Deterministic for a fixed seed: identical reports, byte for byte. Each
     assertion runs guarded, so a defect shows up as a failed entry instead of
-    aborting the suite. Within a run, each function's profile and triplet
-    scan under one budget, and each generated table, is computed once.
+    aborting the suite. Within a run, each catalog expression is parsed
+    once, and each function's profile and triplet scan under one budget, and
+    each generated table, is computed once.
     """
     base = seed * 1000
+    catalog = {name: parse_fn(source) for name, source in FUNCTION_CATALOG}
     checks: list[SuiteAssertion] = []
 
     def run(assert_id: str, description: str, body) -> None:
@@ -623,7 +618,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
     def subadditive_unit_estimate():
         grid = GridSpec(x_max=10.0, n_points=600, seed=seed)
         for name in _SUBADDITIVE_NAMES:
-            profile = classify_fn(_catalog_fn(name), grid)
+            profile = classify_fn(catalog[name], grid)
             if not profile.subadditive.holds:
                 return False, {"fn": name, "reason": "subadditivity rejected"}
             if profile.s_star_estimate != 1.0:
@@ -657,7 +652,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
     def monotone_preserves_ultra():
         tables = _generated_tables(ClassTag.ULTRAMETRIC, base + 300)
         for name in _MONOTONE_AMENABLE_NAMES:
-            f = _catalog_fn(name)
+            f = catalog[name]
             for i, table in enumerate(tables):
                 image = pushforward(f, table)
                 if not axioms.check_identity(image).holds:
@@ -694,7 +689,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         }
         screened = 0
         for name, (want_b, want_eb) in expected.items():
-            evidence = _Evidence(_catalog_fn(name), budget)
+            evidence = _Evidence(catalog[name], budget)
             got_b = _decide(ClassTag.B, evidence).status
             got_eb = _decide(ClassTag.EB, evidence).status
             if (got_b, got_eb) != (want_b, want_eb):
@@ -748,7 +743,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         step_function_is_relaxed_member)
 
     def ceiling_envelope():
-        report = region_check(parse_fn("ceil(x)"),
+        report = region_check(catalog["ceiling"],
                               RegionSpec(a=1.0, b=1.0, n_max=10,
                                          samples_per_interval=12))
         if not report.all_hold:
@@ -761,7 +756,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         ceiling_envelope)
 
     def identity_pushforward_exact():
-        f = _catalog_fn("identity")
+        f = catalog["identity"]
         kinds = (ClassTag.METRIC, ClassTag.ULTRAMETRIC,
                  ClassTag.WEAK_ULTRAMETRIC, ClassTag.B_METRIC)
         count = 0
@@ -783,7 +778,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         names = ("saturating-ratio", "unit-clamp", "square-root", "square")
         tables = _generated_tables(ClassTag.METRIC, base + 700)
         for name in names:
-            f = _catalog_fn(name)
+            f = catalog[name]
             for i, table in enumerate(tables):
                 if not axioms.check_identity(pushforward(f, table)).holds:
                     return False, {"fn": name, "space": i}

@@ -54,6 +54,24 @@ class RegionSpec:
             raise PreconditionViolated(
                 f"samples_per_interval {self.samples_per_interval} exceeds "
                 f"the cap of {self.MAX_SAMPLES}")
+        # interval samples reach (n_max + 1) * b, and their offsets
+        # (end - start) * i reach (samples_per_interval - 1) * b before the
+        # division; each must stay finite
+        reach = max(self.n_max + 1, self.samples_per_interval)
+        if math.isinf(reach * self.b):
+            raise PreconditionViolated(
+                f"plateau edge b = {self.b!r} overflows the sampled range "
+                f"({reach} * b)")
+
+    def plot_steps(self) -> int:
+        """Segments of the plotted function path, 64 per interval; raises
+        PreconditionViolated when a path point x_span * i would overflow."""
+        steps = 64 * (self.n_max + 1)
+        x_span = (self.n_max + 1) * self.b
+        if math.isinf(x_span * steps):
+            raise PreconditionViolated(
+                f"the plot's x range {x_span!r} overflows in {steps} steps")
+        return steps
 
     def to_json(self):
         return {"a": float(self.a), "b": float(self.b), "n_max": self.n_max,
@@ -228,7 +246,7 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
         parts.append(hline(f"step-{n}", min(upper, y_cap),
                            n * spec.b, (n + 1) * spec.b, "#06a"))
 
-    steps = 64 * (spec.n_max + 1)
+    steps = spec.plot_steps()
     xs = [x_span * i / steps for i in range(steps + 1)]
     coords = [f"{_fmt(px(x))},{_fmt(py(value))}"
               for x, value in zip(xs, f.runner(xs))]

@@ -164,7 +164,7 @@ def reference_eval(ast, x):
     error; overflow, a NaN reaching floor, ceil, min, max or "^", and a
     non-finite result are non-finite; a negative result is out of the
     codomain."""
-    if math.isnan(x) or x < 0.0:
+    if not 0.0 <= x < math.inf:
         raise DomainError(x, "argument outside [0, inf)")
     try:
         value = _walk(ast, x)

@@ -466,6 +466,10 @@ def test_region_check_failure_exits_one(capsys):
     (("--a", "1", "--n", "3", "--samples", "1001"), "exceeds the cap of 1000"),
     (("--a", "1", "--n", "3", "--samples", "1000000000000"),
      "exceeds the cap of 1000"),
+    # a later --b wins over the --b 1 in front
+    (("--a", "1", "--n", "2", "--b", "1e308"), "(16 * b)"),
+    (("--a", "1", "--n", "2", "--b", "1e306", "--samples", "1000"),
+     "(1000 * b)"),
 ])
 def test_region_spec_out_of_range_is_a_usage_error(capsys, tmp_path, command,
                                                    flags, message):
@@ -475,6 +479,17 @@ def test_region_spec_out_of_range_is_a_usage_error(capsys, tmp_path, command,
     assert code == 64
     assert "usage error" in err and message in err
     assert not (tmp_path / "r.svg").exists()
+
+
+def test_region_plot_refuses_a_path_that_overflows(capsys, tmp_path):
+    flags = ("piece(x <= 0 ? 0 : 1)", "--a", "1", "--b", "1e306", "--n", "2")
+    code, doc, _ = run(capsys, "region", "check", *flags)
+    assert (code, doc["all_hold"]) == (0, True)
+    svg = tmp_path / "r.svg"
+    code, doc, err = run(capsys, "region", "plot", *flags, "-o", str(svg))
+    assert (code, doc) == (64, None)
+    assert "usage error: the plot's x range 3e+306 overflows" in err
+    assert not svg.exists()
 
 
 def test_region_check_without_plateau_is_undecidable(capsys):

@@ -1,6 +1,7 @@
 """Expression language: parsing, positions, evaluation, and the exact fragment."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,13 @@ MALFORMED = [
     ("1.", 1, 3),                       # decimal point needs digits
     ("x @ 2", 1, 3),                    # stray character
     ("", 1, 1),                         # empty input
+    ("x *", 1, 4),                      # dangling '*'
+    ("x (1)", 1, 3),                    # punctuation out of place
+    ("x)", 1, 2),
+    ("x, 1", 1, 2),
+    ("x ? 1", 1, 3),
+    ("(x : 1)", 1, 4),
+    ("piece(x < 1 ? 0 1)", 1, 17),      # ':' missing
 ]
 
 
@@ -120,27 +128,65 @@ def test_piece_cap():
 NESTING_CAP = 100
 
 # each builder puts an operand at depth d (the whole expression is depth 1);
-# at depth cap + 1 the parser must name that operand's first token
+# at depth cap + 1 the parser must name that operand's first token. The last
+# entry is the most Python frames parse_fn may take at the cap (a parenthesis
+# level costs five: two chain levels, factor, power and atom).
 NESTINGS = {
     "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1),
-                    NESTING_CAP + 1),
-    "unary-minus": (lambda d: "-" * (d - 1) + "x", NESTING_CAP + 1),
-    "power-chain": (lambda d: "1^" * (d - 1) + "x", 2 * NESTING_CAP + 1),
+                    NESTING_CAP + 1, 504),
+    "unary-minus": (lambda d: "-" * (d - 1) + "x", NESTING_CAP + 1, 108),
+    "power-chain": (lambda d: "1^" * (d - 1) + "x", 2 * NESTING_CAP + 1, 207),
     "function-arguments": (lambda d: "min(x, " * (d - 1) + "1" + ")" * (d - 1),
-                           7 * NESTING_CAP - 2),
-    "sum-chain": (lambda d: "x" + " + x" * (d - 1), 4 * NESTING_CAP + 1),
+                           7 * NESTING_CAP - 2, 604),
+    "sum-chain": (lambda d: "x" + " + x" * (d - 1), 4 * NESTING_CAP + 1, 101),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(NESTINGS))
 def test_nesting_cap(shape):
-    build, column = NESTINGS[shape]
+    build, column, _ = NESTINGS[shape]
     assert_entries_agree(parse_fn(build(NESTING_CAP)),  # exactly at the cap
                          [0.0, 0.5, 1.0, 2.0])
     with pytest.raises(ParseError) as excinfo:
         parse_fn(build(NESTING_CAP + 1))
     assert (excinfo.value.line, excinfo.value.column) == (1, column)
     assert f"nested deeper than {NESTING_CAP}" in str(excinfo.value)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_cap_fits_the_frame_budget(shape):
+    build, _, frames = NESTINGS[shape]
+    source = build(NESTING_CAP)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + frames + 50)
+    try:
+        parse_fn(source)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# everything the tokenizer knows, a few things it rejects, and characters
+# that pass str.isdigit or str.isalpha without being ASCII
+_SOUP = ["x", "1", "0.5", "1.", "+", "-", "*", "/", "^", "(", ")", ",", "?",
+         ":", "<", "<=", "min", "max", "sqrt", "exp", "log1p", "abs", "floor",
+         "ceil", "piece", "y", "@", " ", "\n", "\u00b2", "\u0661", "\u00e9"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=20).map("".join))
+def test_token_soup_parses_or_raises_a_parse_error(source):
+    try:
+        fn = parse_fn(source)
+    except ParseError:
+        return
+    assert fn.source == source
 
 
 def test_wide_min():
@@ -204,6 +250,9 @@ _UNDERFLOWS = "0." + "0" * 330 + "1"  # exactly nonzero, 0.0 as a float
 def test_domain_errors():
     with pytest.raises(DomainError):
         eval_fn(parse_fn("x"), -1.0)
+    for x in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"argument outside \[0, inf\)"):
+            eval_fn(parse_fn("min(x, 1)"), x)
     with pytest.raises(DomainError):
         eval_fn(parse_fn("sqrt(x - 5)"), 1.0)
     with pytest.raises(DomainError):

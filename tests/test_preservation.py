@@ -294,7 +294,8 @@ def test_theorem_suite_passes_and_is_deterministic():
 
 def test_theorem_suite_computes_each_input_once(monkeypatch):
     calls = {name: Counter() for name in
-             ("classify_fn", "_scan_image_triplets", "random_space")}
+             ("parse_fn", "classify_fn", "_scan_image_triplets",
+              "random_space")}
 
     def counting(name, key):
         inner = getattr(preservation, name)
@@ -304,15 +305,16 @@ def test_theorem_suite_computes_each_input_once(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(preservation, name, wrapper)
 
+    counting("parse_fn", lambda source: source)
     counting("classify_fn", lambda f, grid: (f.source, grid))
     counting("_scan_image_triplets", lambda f, budget: (f.source, budget))
     counting("random_space", lambda kind, n, seed: (kind, n, seed))
     assert theorem_suite(seed=0).all_passed
-    # 5 + 8 + 1 profiles, 6 + 1 scans, 200 + 200 + 100 + 100 + 20 + 30 + 30
-    # tables; each distinct argument tuple exactly once
+    # 8 + 1 expressions, 5 + 8 + 1 profiles, 6 + 1 scans, 200 + 200 + 100 +
+    # 100 + 20 + 30 + 30 tables; each distinct argument tuple exactly once
     assert {name: (len(c), max(c.values())) for name, c in calls.items()} \
-        == {"classify_fn": (14, 1), "_scan_image_triplets": (7, 1),
-            "random_space": (680, 1)}
+        == {"parse_fn": (9, 1), "classify_fn": (14, 1),
+            "_scan_image_triplets": (7, 1), "random_space": (680, 1)}
 
 
 @pytest.mark.parametrize("name,source", FUNCTION_CATALOG)
