@@ -178,17 +178,15 @@ def check_extended_b(table: DistanceTable, theta: ThetaTable) -> Verdict:
     return _verdict(table, rows, _bounds(rows, "sum"), "sum", theta)
 
 
-def metric_closure(table: DistanceTable) -> DistanceTable:
-    """Shortest-path closure: the largest table below this one satisfying
-    the triangle axiom, by min-plus squaring until nothing changes."""
-    scale, rows = _scaled(table)
+def metric_closure(rows: list[list[int]]) -> list[list[int]]:
+    """Shortest-path closure of a table of ints: the largest table below it
+    satisfying the triangle axiom, by min-plus squaring until nothing
+    changes."""
     while True:
         closed = list(_bounds(rows, "sum"))
         if closed == rows:
-            break
+            return rows
         rows = closed
-    return DistanceTable(table.points, tuple(
-        tuple(Fraction(v, scale) for v in row) for row in rows))
 
 
 def classify_space(table: DistanceTable) -> Dict[ClassTag, Verdict]:

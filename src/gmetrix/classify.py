@@ -176,22 +176,20 @@ def _point_values(f: RealFn, points: list[float]) -> dict[float, float]:
     return dict(zip(order + rest, values))
 
 
-def _amenability(points: list[float], value_at: dict[float, float]) -> Verdict:
+def _amenability(value_at: dict[float, float]) -> Verdict:
     f0 = value_at[0.0]
     if f0 != 0.0:
         return fails(Witness(
             description=f"f(0) = {f0!r} but amenability needs f(0) = 0",
             lhs=f0, rhs=0.0, data={"x": 0.0}))
-    probes = points[1:]
-    if value_at.get(1.0) == 0.0:  # canonical first probe
-        zero_at = 1.0
-    else:
-        zero_at = next((x for x in probes if value_at[x] == 0.0), None)
+    # the first zero in evaluation order, so the canonical probe 1.0 wins
+    zero_at = next((x for x, value in value_at.items()
+                    if x > 0.0 and value == 0.0), None)
     if zero_at is not None:
         return fails(Witness(
             description=f"f({zero_at!r}) = 0 although x > 0",
             lhs=0.0, rhs=0.0, data={"x": zero_at}))
-    return holds(note=f"grid-verified on {len(probes)} positive samples")
+    return holds(note=f"grid-verified on {len(value_at) - 1} positive samples")
 
 
 def _monotonicity(points: list[float], value_at: dict[float, float]) -> Verdict:
@@ -243,7 +241,7 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     """
     points = sample_points(grid)
     value_at = _point_values(f, points)
-    amenable = _amenability(points, value_at)
+    amenable = _amenability(value_at)
     increasing = _monotonicity(points, value_at)
 
     # one pass over the pair schedule feeds both subadditivity views; each

@@ -37,7 +37,6 @@ from .model import (
     MAX_SPACE_POINTS,
     ClassTag,
     Status,
-    Verdict,
     as_rational,
     canonical_dumps,
     dump_space,
@@ -164,10 +163,6 @@ def _function_class(text: str) -> ClassTag:
     return tag
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return _STATUS_EXIT[verdict.status]
-
-
 # --- handlers ---------------------------------------------------------------------
 
 def _cmd_space_verify(args) -> int:
@@ -191,7 +186,7 @@ def _cmd_space_verify(args) -> int:
     verdict = axioms.verify_as(table, args.kind, theta)
     _emit({"kind": args.kind.value, "verdict": verdict.to_json()})
     _say(f"{args.kind.value}: {verdict.status.value}")
-    return _verdict_exit(verdict)
+    return _STATUS_EXIT[verdict.status]
 
 
 def _cmd_space_random(args) -> int:
@@ -246,7 +241,7 @@ def _cmd_preserve(args) -> int:
     _emit({"source": f.source, "target": args.target.value,
            "verdict": verdict.to_json()})
     _say(f"{args.target.value}: {verdict.status.value}")
-    return _verdict_exit(verdict)
+    return _STATUS_EXIT[verdict.status]
 
 
 def _budget_from(args) -> Budget:

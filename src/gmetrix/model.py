@@ -221,10 +221,9 @@ def fails(witness: Witness,
 
 
 def inconclusive(note: str,
-                 constants: Optional[Mapping[str, object]] = None,
-                 witness: Optional[Witness] = None) -> Verdict:
-    return Verdict(Status.INCONCLUSIVE, witness=witness,
-                   constants=dict(constants or {}), note=note)
+                 constants: Optional[Mapping[str, object]] = None) -> Verdict:
+    return Verdict(Status.INCONCLUSIVE, constants=dict(constants or {}),
+                   note=note)
 
 
 def _validate_square(points: Sequence[str], entries) -> None:
@@ -419,7 +418,7 @@ def _default_points(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def _random_ultrametric(rng: random.Random, n: int) -> DistanceTable:
+def _random_ultrametric(rng: random.Random, n: int) -> list[list[Fraction]]:
     # hierarchical merge tree: the distance between two points is the height at
     # which their clusters join, heights strictly increasing up the tree
     entries = [[Fraction(0)] * n for _ in range(n)]
@@ -436,35 +435,30 @@ def _random_ultrametric(rng: random.Random, n: int) -> DistanceTable:
                 entries[v][u] = height
         clusters[a].extend(clusters[b])
         del clusters[b]
-    return DistanceTable(_default_points(n),
-                         tuple(tuple(row) for row in entries))
+    return entries
 
 
-def _random_metric(rng: random.Random, n: int) -> DistanceTable:
-    # random positive symmetric weights, then shortest-path closure
+def _random_metric(rng: random.Random, n: int) -> list[list[Fraction]]:
+    # random positive symmetric weights in quarters, in [1, 8], then their
+    # shortest-path closure
     from .axioms import metric_closure
 
-    entries = [[Fraction(0)] * n for _ in range(n)]
+    quarters = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = Fraction(rng.randint(4, 32), 4)  # in [1, 8]
-            entries[i][j] = w
-            entries[j][i] = w
-    return metric_closure(DistanceTable(_default_points(n),
-                                        tuple(tuple(row) for row in entries)))
+            quarters[i][j] = quarters[j][i] = rng.randint(4, 32)
+    return [[Fraction(v, 4) for v in row] for row in metric_closure(quarters)]
 
 
-def _perturb(rng: random.Random, base: DistanceTable,
-             max_eighths: int) -> DistanceTable:
+def _perturb(rng: random.Random, rows: list[list[Fraction]],
+             max_eighths: int) -> list[list[Fraction]]:
     # multiply each unordered pair by 1 + k/8 for a random k in 0..max_eighths
-    n = base.n
-    entries = [list(row) for row in base.entries]
+    n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
             factor = 1 + Fraction(rng.randint(0, max_eighths), 8)
-            entries[i][j] = base.entries[i][j] * factor
-            entries[j][i] = entries[i][j]
-    return DistanceTable(base.points, tuple(tuple(row) for row in entries))
+            rows[i][j] = rows[j][i] = rows[i][j] * factor
+    return rows
 
 
 def random_space(kind: ClassTag, n: int, seed: int
@@ -483,16 +477,18 @@ def random_space(kind: ClassTag, n: int, seed: int
         raise PreconditionViolated("random spaces need n >= 2")
     rng = random.Random(f"{kind.value}|{n}|{seed}")
     if kind is ClassTag.ULTRAMETRIC:
-        return _random_ultrametric(rng, n), None
-    if kind is ClassTag.METRIC:
-        return _random_metric(rng, n), None
-    if kind is ClassTag.WEAK_ULTRAMETRIC:
-        return _perturb(rng, _random_ultrametric(rng, n), 8), None
-    if kind is ClassTag.B_METRIC:
-        return _perturb(rng, _random_metric(rng, n), 8), None
-    # extended: scale a metric per pair by factors in [1, 4], attach the
-    # minimal bound table of the result
+        rows = _random_ultrametric(rng, n)
+    elif kind is ClassTag.METRIC:
+        rows = _random_metric(rng, n)
+    elif kind is ClassTag.WEAK_ULTRAMETRIC:
+        rows = _perturb(rng, _random_ultrametric(rng, n), 8)
+    elif kind is ClassTag.B_METRIC:
+        rows = _perturb(rng, _random_metric(rng, n), 8)
+    else:  # extended: scale a metric per pair by factors in [1, 4]
+        rows = _perturb(rng, _random_metric(rng, n), 24)
+    table = DistanceTable(_default_points(n), tuple(map(tuple, rows)))
+    if kind is not ClassTag.EXTENDED_B_METRIC:
+        return table, None
     from .axioms import minimal_theta
 
-    table = _perturb(rng, _random_metric(rng, n), 24)
     return table, minimal_theta(table)

@@ -163,7 +163,12 @@ class Budget:
     scale: Optional[float] = None  # triplet entry scale; default 2 * x_max
 
     def __post_init__(self) -> None:
+        if self.triplet_samples < 1:
+            raise PreconditionViolated("triplet_samples must be at least 1")
         scale = self.effective_scale()
+        if not (scale > 0 and math.isfinite(scale)):
+            raise PreconditionViolated(
+                f"triplet scale {scale!r} must be positive and finite")
         if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
             raise PreconditionViolated(
                 f"triplet scale {scale!r} overflows when doubled")

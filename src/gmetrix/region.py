@@ -8,11 +8,11 @@ staircase; the plot draws the staircase, the function, and any violations.
 
 from __future__ import annotations
 
+import html
 import math
 import os
 from dataclasses import dataclass
 from typing import ClassVar, Optional
-from xml.sax.saxutils import escape
 
 from .classify import REL_TOL, verify_plateau
 from .dsl import RealFn, eval_fn
@@ -226,10 +226,11 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
                 f'y1="{_fmt(py(y))}" x2="{_fmt(px(x1))}" y2="{_fmt(py(y))}" '
                 f'stroke="{stroke}" stroke-width="1.5"{dash_attr}/>')
 
+    source = html.escape(f.source, quote=False)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
-        f'<title>{escape(f.source)}</title>',
+        f'<title>{source}</title>',
         f'<rect x="{_fmt(_PLOT_LEFT)}" y="{_fmt(_PLOT_TOP)}" '
         f'width="{_fmt(_PLOT_RIGHT - _PLOT_LEFT)}" '
         f'height="{_fmt(_PLOT_BOTTOM - _PLOT_TOP)}" '
@@ -261,7 +262,7 @@ def render_region_svg(f: RealFn, spec: RegionSpec,
 
     parts.append(f'<text x="{_fmt(_PLOT_LEFT)}" y="{_fmt(_HEIGHT - 6.0)}" '
                  f'font-family="monospace" font-size="12" fill="#444">'
-                 f'{escape(f.source)} on (0, {_fmt(x_span)}]</text>')
+                 f'{source} on (0, {_fmt(x_span)}]</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

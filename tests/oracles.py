@@ -101,6 +101,17 @@ def brute_is_ultra(entries):
     return True
 
 
+def brute_shortest_paths(entries):
+    """Floyd-Warshall: the shortest-path distance between every two points."""
+    n = len(entries)
+    dist = [list(row) for row in entries]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
+
+
 def brute_triplet_constant(a, b, c):
     """Smallest s >= 1 making (a, b, c) an s-relaxed triangle triplet."""
     best = Fraction(1)

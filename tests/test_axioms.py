@@ -20,12 +20,14 @@ from gmetrix import (
     optimal_weak_ultra_constant,
     verify_as,
 )
+from gmetrix.axioms import metric_closure
 from gmetrix.errors import IdentityFails, PointSetMismatch, UnsupportedKind
 
 from oracles import (
     brute_b_constant,
     brute_first_violation,
     brute_minimal_theta,
+    brute_shortest_paths,
     brute_weak_ultra_constant,
     ordered_triples,
     random_positive_table,
@@ -250,6 +252,16 @@ def test_check_extended_b_point_set_mismatch():
     theta = constant_theta(["a", "b"], 2)
     with pytest.raises(PointSetMismatch):
         check_extended_b(table, theta)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_metric_closure_of_int_rows_is_the_shortest_path_table(n):
+    for seed in range(10):
+        rows = [[int(v) for v in row]
+                for row in random_positive_table(n, seed, den=1, hi=40)]
+        closed = metric_closure(rows)
+        assert closed == brute_shortest_paths(rows)
+        assert all(type(v) is int for row in closed for v in row)
 
 
 def test_ordered_triples_oracle_shape():

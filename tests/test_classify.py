@@ -94,6 +94,17 @@ def test_zero_function_fails_amenability_at_one():
     assert profile.amenable.witness.data["x"] == 1.0
 
 
+def test_amenability_witness_is_the_first_zero_probed():
+    # with f(0) = 0 the canonical probe 1.0 is read first, so it is the
+    # witness even when f vanishes below it too
+    profile = classify_fn(parse_fn("piece(x <= 2 ? 0 : x)"), GRID_10)
+    assert profile.amenable.witness.data["x"] == 1.0
+    # a grid that stops below 1.0 has no such probe: the smallest zero wins
+    grid = GridSpec(x_max=0.75, n_points=100, seed=1)
+    profile = classify_fn(parse_fn("piece(x < 0.5 ? 0 : x)"), grid)
+    assert profile.amenable.witness.data["x"] == sample_points(grid)[1]
+
+
 def test_nonzero_origin_fails_amenability_at_zero():
     profile = classify_fn(parse_fn("max(x, 1)"), GRID_10)
     assert profile.amenable.fails

@@ -4,10 +4,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import gmetrix
 from gmetrix.cli import MAX_RANDOM_POINTS, main
 from test_dsl import _XS, _expressions
 
@@ -22,6 +26,20 @@ def run(capsys, *argv):
     doc = (json.loads(captured.out, parse_constant=_reject_constant)
            if captured.out else None)
     return code, doc, captured.err
+
+
+#: Modules no command needs; importing any of them costs start-up time
+HEAVY_MODULES = ("xml", "urllib.request", "http", "email", "ssl")
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # a fresh interpreter ignoring PYTHON* variables and user site packages
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gmetrix.cli; "
+             "print(' '.join(sorted(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(gmetrix.__file__))
+    loaded = subprocess.run([sys.executable, "-E", "-s", "-c", probe, src],
+                            capture_output=True, text=True, check=True)
+    assert set(loaded.stdout.split()).isdisjoint(HEAVY_MODULES)
 
 
 def test_no_arguments_is_a_usage_error(capsys):

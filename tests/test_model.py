@@ -1,5 +1,6 @@
 """Distance tables, JSON documents, tags, and the seeded space generators."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from gmetrix import (
     space_from_json,
     space_to_json,
 )
+from gmetrix import model
 from gmetrix.errors import (
     AsymmetricEntry,
     InvalidEntry,
@@ -238,6 +240,37 @@ def test_random_space_postconditions(kind, n):
             assert check_extended_b(table, theta).holds
         else:
             assert theta is None
+
+
+#: sha256 over the canonical JSON of `random_space(kind, n, seed)` for each
+#: kind in SPACE_KINDS order, n 2..12 and seeds 0..4, nested in that order
+GENERATED_SPACES_SHA256 = (
+    "d2149c80cdb1045e54323a46bcb500df15d5100c32a8307f2e8b0d146202a4f7")
+
+
+def test_random_space_output_is_pinned():
+    digest = hashlib.sha256()
+    for kind in SPACE_KINDS:
+        for n in range(2, 13):
+            for seed in range(5):
+                doc = space_to_json(*random_space(kind, n, seed))
+                digest.update(canonical_dumps(doc).encode())
+    assert digest.hexdigest() == GENERATED_SPACES_SHA256
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_random_space_validates_one_table(monkeypatch, kind):
+    validated = []
+    check = model._RationalTable.__post_init__
+
+    def counting_check(table):
+        validated.append(type(table))
+        check(table)
+
+    monkeypatch.setattr(model._RationalTable, "__post_init__", counting_check)
+    random_space(kind, 6, 0)
+    theta = [ThetaTable] if kind is ClassTag.EXTENDED_B_METRIC else []
+    assert validated == [DistanceTable] + theta
 
 
 def test_random_space_is_deterministic():

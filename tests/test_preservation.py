@@ -115,6 +115,22 @@ def test_budget_rejects_a_scale_whose_double_overflows():
     assert Budget(scale=8e307).effective_scale() == 8e307
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"triplet_samples": 0}, "at least 1"),
+    ({"triplet_samples": -1}, "at least 1"),
+    ({"scale": 0.0}, "positive and finite"),
+    ({"scale": -1.0}, "positive and finite"),
+    ({"scale": math.nan}, "positive and finite"),
+    ({"scale": math.inf}, "positive and finite"),
+])
+def test_budget_rejects_out_of_range_fields(fields, message):
+    # a zero-sample budget would let membership call a function a member
+    # after scanning no triplet at all
+    with pytest.raises(PreconditionViolated, match=message):
+        Budget(**fields)
+    assert Budget(triplet_samples=1, scale=1e-300).triplet_samples == 1
+
+
 def test_preserve_square_fails_metric_but_holds_relaxed():
     verdict = preserve_check(parse_fn("x^2"), PATH_SPACE, ClassTag.METRIC)
     assert verdict.fails
