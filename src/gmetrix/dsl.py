@@ -34,9 +34,15 @@ Python generator (`RealFn.runner`): straight-line code with one assignment
 per tree node and every check above inline, in a loop that pulls each x
 only when its value is asked for and yields f(x). A failing x raises after
 the values before it have been yielded. Callers zip the values with the xs
-they passed in; eval_fn is the single-x entry on top of it. The generated
-text is built from fixed names, repr(float) literals and the grammar's
-operators only, never from the expression's own text.
+they passed in; eval_fn is the single-x entry on top of it. The
+image-triplet scan has a second generated function, `scan(samples, split)`
+(`RealFn.scanner`), compiled only when a scan first runs: for each sample
+(a, b, c) it evaluates the same checked body at a, then b, then c, applies
+the relaxation-constant formula of triplets._constant and keeps the running
+sups, all in one frame. Both are built from one emitted body, so each check
+is written once. The generated text is built from fixed names, repr(float)
+literals and the grammar's operators only, never from the expression's own
+text.
 
 Expressions built only from "+", "*", "min", "max", literals, and "x" also
 evaluate exactly over rationals (see exact_capable / eval_exact); table
@@ -340,12 +346,14 @@ def _reject(x: float, value: float) -> None:
 
 
 # The emitted text holds fixed names only: x, v0, v1, ... for the node
-# values, and the names bound here; no other builtin is reachable.
+# values, the scan's own locals, and the names bound here; no other builtin
+# is reachable.
 _NAMESPACE = {
     "__builtins__": {"abs": abs, "float": float, "OverflowError": OverflowError},
     "DomainError": DomainError,
     "NonFinite": NonFinite,
     "_reject": _reject,
+    "_inf": math.inf,
     "_sqrt": math.sqrt,
     "_exp": math.exp,
     "_log1p": math.log1p,
@@ -444,8 +452,11 @@ class _Emitter:
         return self.assign(pad, _CALLS[name].format(first))
 
 
-def _emit_source(ast: Node) -> str:
-    """Python source of the generator `run(xs)` for one tree.
+def _checked(ast: Node) -> tuple[str, str]:
+    """Loop-body statements computing f(x) with every guard, and the
+    operand naming f(x): the argument check, the tree's own guards,
+    OverflowError as NonFinite, and the final-range check. `run` and `scan`
+    both evaluate through these.
 
     One assignment per node, so the compiler meets no nesting deeper than
     the eight piece branches. Literals enter as repr(float); operators and
@@ -458,8 +469,6 @@ def _emit_source(ast: Node) -> str:
     result = emitter.value(ast, " " * 12)
     body = "\n".join(emitter.lines) or " " * 12 + "pass"
     return f"""\
-def run(xs):
-    for x in xs:
         if not 0.0 <= x <= {_LARGEST}:
             raise DomainError(x, "argument outside [0, inf)")
         try:
@@ -468,8 +477,81 @@ def run(xs):
             raise NonFinite(x, "overflow during evaluation") from None
         if not 0.0 <= {result} <= {_LARGEST}:
             _reject(x, {result})
-        yield {result}
+""", result
+
+
+def _emit_source(ast: Node) -> str:
+    """Python source of the generator `run(xs)` for one tree."""
+    check, fx = _checked(ast)
+    return f"""\
+def run(xs):
+    for x in xs:
+{check}\
+        yield {fx}
 """
+
+
+def _ratio_update(num: str, one: str, other: str) -> str:
+    """triplets._constant's step for one entry: k becomes inf when the other
+    two sum to zero under a positive num, else num / rest if strictly
+    greater."""
+    return f"""\
+        rest = {one} + {other}
+        if rest == 0.0:
+            if {num} > 0.0: k = _inf
+        elif {num} / rest > k: k = {num} / rest
+"""
+
+
+def _emit_scan(ast: Node) -> str:
+    """Python source of `scan(samples, split)` for one tree.
+
+    For each sample (a, b, c) it evaluates the body at a, then b, then c,
+    scores the images with the formula of triplets._constant, and keeps the
+    sup of the constants overall, over samples with an entry above split,
+    and over the rest. It stops at the first infinite constant and returns
+    (used, sup, sup_top, sup_below, best, infinite); best and infinite are
+    (sample, images) or None.
+    """
+    check, fx = _checked(ast)
+    return f"""\
+def scan(samples, split):
+    sup = sup_top = sup_below = 0.0
+    best = infinite = None
+    used = 0
+    for t in samples:
+        a, b, c = t
+        x = a
+{check}\
+        fa = {fx}
+        x = b
+{check}\
+        fb = {fx}
+        x = c
+{check}\
+        fc = {fx}
+        used += 1
+        k = 1.0
+{_ratio_update("fa", "fb", "fc")}\
+{_ratio_update("fb", "fa", "fc")}\
+{_ratio_update("fc", "fa", "fb")}\
+        if k == _inf:
+            infinite = (t, (fa, fb, fc))
+            break
+        if k > sup:
+            sup = k
+            best = (t, (fa, fb, fc))
+        if a > split or b > split or c > split:
+            if k > sup_top: sup_top = k
+        elif k > sup_below: sup_below = k
+    return used, sup, sup_top, sup_below, best, infinite
+"""
+
+
+def _compile(source: str, name: str):
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<gmetrix expression>", "exec"), namespace)
+    return namespace.pop(name)  # no cycle through its own globals
 
 
 @dataclass(frozen=True)
@@ -485,10 +567,15 @@ class RealFn:
         pulls each float x only when its value is asked for and yields f(x),
         with every check of eval_fn. When an x fails, the values before it
         have been yielded and the error names that x."""
-        namespace = dict(_NAMESPACE)
-        exec(compile(_emit_source(self.ast), "<gmetrix expression>", "exec"),
-             namespace)
-        return namespace.pop("run")  # no cycle through its own globals
+        return _compile(_emit_source(self.ast), "run")
+
+    @cached_property
+    def scanner(self) -> Callable[[Iterable[tuple[float, float, float]], float],
+                                  tuple]:
+        """The image-triplet scan `scan(samples, split)` (see _emit_scan),
+        generated and compiled on first use, so that only a scan pays for
+        it. A failing entry raises with its own x, like eval_fn."""
+        return _compile(_emit_scan(self.ast), "scan")
 
     def __call__(self, x) -> float:
         return eval_fn(self, x)

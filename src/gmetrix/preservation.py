@@ -14,12 +14,13 @@ ultrametric preservation in them, the ultrametric class too; for the extended
 class it stays Inconclusive because a point-dependent bound table could still
 exist.
 
-The image-triplet scan (last rung, and the search) reads plain (a, b, c)
-tuples and zips each with the next three values of the expression's
-evaluation stream, with all of `eval_fn`'s checks; an entry is evaluated
-only when the scan reaches it. It scores each image with
-`triplets._constant`, the formula of `triplet_constant`. Only a search
-witness becomes a `Triplet`, to be realized in the plane.
+The image-triplet scan (last rung, and the search) hands the stream of
+plain (a, b, c) tuples to the expression's generated scan
+(`RealFn.scanner`). It draws each sample, evaluates its entries in order
+with all of `eval_fn`'s checks, scores the images with the formula of
+`triplet_constant`, and stops at the first infinite constant; an entry is
+evaluated only when the scan reaches it. Only a search witness becomes a
+`Triplet`, to be realized in the plane.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product, tee
+from itertools import chain, islice, product
 from typing import Mapping, Optional
 
 from . import axioms
@@ -61,7 +62,6 @@ from .triplets import (
     RandomStrategy,
     Sample,
     Triplet,
-    _constant,
     is_s_triplet,
     is_theta_triplet,
     realize_in_plane,
@@ -226,11 +226,21 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class _TripletScan:
+    """What `RealFn.scanner` returns: the sup of the image constants, also
+    over samples with an entry above half the scale (the top octave) and
+    over the rest, the first arg-max and the first infinite constant, each
+    as (sample, images)."""
+
     samples_used: int
     sup: float
+    sup_top: float
+    sup_below: float
     best: Optional[tuple[Sample, tuple[float, float, float]]]
     infinite: Optional[tuple[Sample, tuple[float, float, float]]]
-    diverged: bool
+
+    @property
+    def diverged(self) -> bool:
+        return diverged(self.sup, self.sup_top, self.sup_below)
 
 
 def _mixed_triplets(seed: int, scale: float):
@@ -247,35 +257,9 @@ def _mixed_triplets(seed: int, scale: float):
 
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
-    sup = 0.0
-    sup_top = 0.0
-    sup_below = 0.0
-    best = None
-    infinite = None
-    used = 0
-    split = scale / 2.0
-    # the two copies advance in step, and an entry is evaluated only when
-    # the scan reaches it, so a scan that stops early never meets a later
-    # entry's error
-    samples, entries = tee(islice(_mixed_triplets(budget.seed, scale),
-                                  budget.triplet_samples))
-    values = f.runner(chain.from_iterable(entries))
-    for t, images in zip(samples, zip(values, values, values)):
-        used += 1
-        constant = _constant(*images)
-        if constant == math.inf:
-            infinite = (t, images)
-            break
-        if constant > sup:
-            sup = constant
-            best = (t, images)
-        if max(t) > split:
-            sup_top = max(sup_top, constant)
-        else:
-            sup_below = max(sup_below, constant)
-    return _TripletScan(samples_used=used, sup=sup, best=best,
-                        infinite=infinite,
-                        diverged=diverged(sup, sup_top, sup_below))
+    return _TripletScan(*f.scanner(
+        islice(_mixed_triplets(budget.seed, scale), budget.triplet_samples),
+        scale / 2.0))
 
 
 def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],

@@ -4,8 +4,9 @@ A triplet (a, b, c) is three candidate side lengths. The relaxed membership
 predicates mirror the axiom checks entrywise: plain triangle conditions, one
 scalar bound s, or one bound per component. The samplers yield plain tuples
 (`sample_tuples`, which the membership scan reads) or validated `Triplet`s
-(`sample_triplets`); `_constant` is the one relaxation-constant formula, for
-`triplet_constant` and the scan alike.
+(`sample_triplets`). `_constant` is the relaxation-constant formula of
+`triplet_constant`; the generated scan of `dsl` writes the same comparisons
+out inline, and tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -195,32 +196,39 @@ def _grid_triplets(strategy: GridStrategy) -> Iterator[Sample]:
                     yield (a, b, c)
 
 
+# The samplers draw as random.Random.uniform(lo, hi) does, with its formula
+# lo + (hi - lo) * random() written out; from lo = 0.0 that is scale * draw(),
+# bit for bit, since 0.0 + y is y for every y >= 0.
+
 def _random_triplets(strategy: RandomStrategy) -> Iterator[Sample]:
-    rng = random.Random(f"triplet-random|{strategy.seed}")
+    draw = random.Random(f"triplet-random|{strategy.seed}").random
+    scale = strategy.scale
     produced = 0
     while produced < strategy.count:
-        b = rng.uniform(0.0, strategy.scale)
-        c = rng.uniform(0.0, strategy.scale)
-        a = rng.uniform(abs(b - c), b + c)
+        b = scale * draw()
+        c = scale * draw()
+        lo = abs(b - c)
+        a = lo + (b + c - lo) * draw()
         if min(a, b, c) <= 0.0:
             continue
         if not math.isfinite(b + c):
-            raise PreconditionViolated(f"scale {strategy.scale!r} overflows")
+            raise PreconditionViolated(f"scale {scale!r} overflows")
         if a <= b + c and b <= a + c and c <= a + b:  # no 1-ulp overshoot
             produced += 1
             yield (a, b, c)
 
 
 def _boundary_triplets(strategy: BoundaryStrategy) -> Iterator[Sample]:
-    rng = random.Random(f"triplet-boundary|{strategy.seed}")
+    draw = random.Random(f"triplet-boundary|{strategy.seed}").random
+    scale = strategy.scale
     produced = 0
     while produced < strategy.count:
-        b = rng.uniform(0.0, strategy.scale)
-        c = rng.uniform(0.0, strategy.scale)
+        b = scale * draw()
+        c = scale * draw()
         if b <= 0.0 or c <= 0.0:
             continue
         if not math.isfinite(b + c):
-            raise PreconditionViolated(f"scale {strategy.scale!r} overflows")
+            raise PreconditionViolated(f"scale {scale!r} overflows")
         produced += 1
         yield (b + c, b, c)
 

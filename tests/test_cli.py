@@ -555,3 +555,36 @@ def test_expressions_never_exit_internal(ultrametric_file, source, x):
     codes.update(_exit_code("preserve", source, "--space", ultrametric_file,
                             "--target", target) for target in _TARGETS)
     assert codes <= {0, 1, 2, 64}, (source, x, codes)
+
+
+def test_scanner_compiles_only_when_a_scan_runs(capsys, monkeypatch, tmp_path):
+    # the scan's generated function is compiled lazily, so commands that
+    # never scan never pay for it
+    parsed = []
+
+    def parse(text):
+        parsed.append(gmetrix.dsl.parse_fn(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(gmetrix.cli, "parse_fn", parse)
+    path = tmp_path / "path.json"
+    path.write_text('{"points": ["x", "y", "z"], '
+                    '"entries": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+                    encoding="utf-8")
+    _, doc, _ = run(capsys, "fn", "classify", "sqrt(x)", "--points", "500")
+    assert doc["subadditive"]["status"] == "holds"
+    _, doc, _ = run(capsys, "member", "0", "--class", "B", "--points", "500")
+    assert doc["basis"] == gmetrix.BASIS_AMENABILITY
+    _, doc, _ = run(capsys, "member", "x", "--class", "EB", "--points", "500")
+    assert doc["basis"] == gmetrix.BASIS_EB_SUFFICIENT
+    _, doc, _ = run(capsys, "fn", "eval", "x^2", "--at", "3")
+    assert doc["value"] == 9.0
+    code, _, _ = run(capsys, "preserve", "min(x, 1)", "--space", str(path),
+                     "--target", "metric")
+    assert code == 0
+    assert ["scanner" in f.__dict__ for f in parsed] == [False] * 5
+
+    _, doc, _ = run(capsys, "member", "x", "--class", "B", "--points", "500",
+                    "--samples", "10")
+    assert doc["constants"]["triplet_samples_used"] == 10
+    assert "scanner" in parsed[-1].__dict__

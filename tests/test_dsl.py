@@ -193,6 +193,9 @@ def test_wide_min():
     fn = parse_fn("min(" + ", ".join(["x + 1"] * 2999 + ["x*x - x*x"]) + ")")
     assert len(fn.ast.args) == 3000
     assert_entries_agree(fn, [0.0, 1.0, 1e300])  # NaN at 1e300
+    # the scan emits the 3,000-argument body once per entry of a sample
+    assert_scan_agrees(fn, [(1.0, 2.0, 3.0), (0.0, 0.0, 0.0),
+                            (1.0, 1e300, 1.0)])
 
 
 def test_emitted_source_holds_float_reprs_only():
@@ -360,6 +363,27 @@ def assert_entries_agree(fn, xs):
         assert failed == "None"
 
 
+def _scan_outcome(fn, t):
+    """The images of one sample as the emitted scan reports them, or the
+    type and message of its evaluation error."""
+    try:
+        *_, best, infinite = fn.scanner([t], 1.0)
+    except EvalError as err:
+        return (type(err).__name__, str(err))
+    return repr((best or infinite)[1])
+
+
+def assert_scan_agrees(fn, samples):
+    """Sample by sample, the emitted scan reports the reference images, or
+    raises as the reference does at the first failing entry of a, b, c."""
+    for t in samples:
+        outcomes = [_outcome(lambda: reference_eval(fn.ast, x)) for x in t]
+        errors = [o for o in outcomes if isinstance(o, tuple)]
+        expected = errors[0] if errors else repr(
+            tuple(reference_eval(fn.ast, x) for x in t))
+        assert _scan_outcome(fn, t) == expected, t
+
+
 _NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "10", "0.001", "400",
                             "1/3", _UNDERFLOWS])
 _XS = st.one_of(st.sampled_from([0.0, 1.0, 1e200]),
@@ -396,3 +420,13 @@ def test_generated_evaluator_matches_reference(source, xs):
     except ParseError:  # more piece branches than the cap
         assume(False)
     assert_entries_agree(fn, xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions(), st.tuples(_XS, _XS, _XS))
+def test_generated_scan_matches_reference(source, sample):
+    try:
+        fn = parse_fn(source)
+    except ParseError:  # more piece branches than the cap
+        assume(False)
+    assert_scan_agrees(fn, [sample])

@@ -32,7 +32,7 @@ from gmetrix import (
     sample_triplets,
     theorem_suite,
 )
-from gmetrix import preservation
+from gmetrix import dsl, preservation
 from gmetrix.errors import (
     DomainError,
     NonFinite,
@@ -331,6 +331,20 @@ def test_theorem_suite_computes_each_input_once(monkeypatch):
     assert {name: (len(c), max(c.values())) for name, c in calls.items()} \
         == {"parse_fn": (9, 1), "classify_fn": (14, 1),
             "_scan_image_triplets": (7, 1), "random_space": (680, 1)}
+
+
+def test_theorem_suite_compiles_each_scanner_at_most_once(monkeypatch):
+    compiled = Counter()
+    emit_scan = dsl._emit_scan
+
+    def counting(ast):
+        compiled[ast] += 1
+        return emit_scan(ast)
+
+    monkeypatch.setattr(dsl, "_emit_scan", counting)
+    assert theorem_suite(seed=0).all_passed
+    # one scanner for each of the suite's 7 scans, none compiled twice
+    assert (len(compiled), max(compiled.values())) == (7, 1)
 
 
 @pytest.mark.parametrize("name,source", FUNCTION_CATALOG)

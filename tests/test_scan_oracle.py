@@ -25,9 +25,14 @@ from gmetrix import (
     parse_fn,
     sample_triplets,
 )
+from gmetrix.classify import diverged
 from gmetrix.errors import OutOfCodomain
+from gmetrix.preservation import _scan_image_triplets
+from gmetrix.triplets import _constant
 
 from oracles import brute_triplet_constant
+
+STEP_SOURCE = "piece(x <= 0 ? 0 : piece(x <= 1 ? 1 : 4))"
 
 # 6,000 samples run past the 4,580 grid triplets into the random and
 # boundary phases
@@ -50,6 +55,7 @@ PYTHON_FNS = {
     # the same with the windows swapped: the failing entry comes first
     "piece(x < 25 ? x : piece(x < 27 ? x - 100 : 0))":
         lambda x: x if x < 25 else (x - 100.0 if x < 27 else 0.0),
+    STEP_SOURCE: lambda x: 0.0 if x <= 0 else (1.0 if x <= 1 else 4.0),
 }
 
 
@@ -140,7 +146,7 @@ def test_search_stops_at_the_first_infinite_constant():
     "piece(x < 25 ? x : piece(x < 27 ? x - 100 : 0))",
 ])
 def test_search_stops_at_whichever_comes_first(source):
-    # the scan evaluates its entries in batches; as one at a time, the first
+    # the scan evaluates each entry only when it reaches it, so the first
     # infinite constant ends it, and the first failing entry raises
     f = PYTHON_FNS[source]
     stream = islice(scan_stream(BUDGET.seed, BUDGET.effective_scale()),
@@ -159,3 +165,76 @@ def test_search_stops_at_whichever_comes_first(source):
             assert witness.samples_used == used and witness.triplet == t
             return
     pytest.fail("the stream has no infinite constant and no failing entry")
+
+
+def oracle_bookkeeping(source, budget):
+    """(samples used, sup, sup_top, sup_below, best) rebuilt from the oracle
+    stream: a sample is top when an entry lies above half the scale, and
+    best is the first sample whose constant is strictly above every one
+    before it."""
+    used, _, seen = oracle_scan(source, budget)
+    split = budget.effective_scale() / 2
+    sup = sup_top = sup_below = Fraction(0)
+    best = None
+    for t, images, constant in seen:
+        assert constant is not None
+        if constant > sup:
+            sup, best = constant, (t, images)
+        if max(t) > split:
+            sup_top = max(sup_top, constant)
+        else:
+            sup_below = max(sup_below, constant)
+    return used, sup, sup_top, sup_below, best
+
+
+@pytest.mark.parametrize("source", ["exp(x) - 1", "x^2", STEP_SOURCE])
+def test_scan_bookkeeping_matches_oracle(source):
+    # the grid phase holds samples whose largest entry is exactly half the
+    # scale; they count below the top octave
+    scan = _scan_image_triplets(parse_fn(source), BUDGET)
+    used, sup, sup_top, sup_below, best = oracle_bookkeeping(source, BUDGET)
+    assert scan.samples_used == used == BUDGET.triplet_samples
+    assert scan.infinite is None
+    assert rel_close(scan.sup, float(sup))
+    assert rel_close(scan.sup_top, float(sup_top))
+    assert rel_close(scan.sup_below, float(sup_below))
+    assert scan.best == best
+    assert scan.diverged is diverged(float(sup), float(sup_top),
+                                     float(sup_below))
+    assert scan.diverged is (source == "exp(x) - 1")
+
+
+NEGATIVE_ZERO_AT_0 = "piece(x <= 0 ? -x : x)"  # -x at 0 is -0.0, in range
+
+
+@pytest.mark.parametrize("source,sample", [
+    ("x", (1.0, 0.0, 0.0)),  # the other two sum to zero: infinite
+    ("x", (0.0, 0.0, 1.0)),  # ... at the last entry
+    ("x", (0.0, 0.0, 0.0)),  # all zero: the floor 1
+    ("x", (0.0, 1.0, 1.0)),  # a zero entry beside positive ones
+    ("x", (0.0, 1.0, 3.0)),
+    ("x", (1.0, 1.0, 1.0)),  # three tied ratios
+    ("x", (2.0, 1.0, 1.0)),  # a ratio tied with the floor
+    ("x", (1.0, 2.0, 3.0)),  # ties at the floor and below it
+    (NEGATIVE_ZERO_AT_0, (0.0, 1.0, 1.0)),
+    (NEGATIVE_ZERO_AT_0, (0.0, 0.0, 2.0)),  # -0.0 + -0.0 is zero
+    (NEGATIVE_ZERO_AT_0, (2.0, 0.0, 0.0)),
+])
+def test_emitted_constant_is_the_triplet_formula(source, sample):
+    f = parse_fn(source)
+    split = 1.5
+    used, sup, sup_top, sup_below, best, infinite = f.scanner([sample], split)
+    images = tuple(f(v) for v in sample)
+    constant = _constant(*images)
+    assert used == 1
+    if constant == math.inf:
+        # repr tells -0.0 from 0.0
+        assert repr(infinite) == repr((sample, images))
+        assert (best, sup, sup_top, sup_below) == (None, 0.0, 0.0, 0.0)
+    else:
+        assert infinite is None
+        assert repr(best) == repr((sample, images))
+        assert sup == constant
+        top = max(sample) > split
+        assert (sup_top, sup_below) == ((constant, 0.0) if top
+                                        else (0.0, constant))

@@ -1,7 +1,9 @@
 """Triplet predicates, the optimal per-triplet constant, and plane realization."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +27,7 @@ from gmetrix.errors import (
     NotATriplet,
     PreconditionViolated,
 )
+from gmetrix.triplets import sample_tuples
 
 
 def test_triplet_rejects_bad_entries():
@@ -184,3 +187,38 @@ def test_strategy_validation():
         BoundaryStrategy(seed=0, count=1, scale=0.0)
     with pytest.raises(PreconditionViolated):
         list(sample_triplets("not a strategy"))
+
+
+def uniform_random_triplets(seed, scale):
+    """The random sampler as written with random.Random.uniform."""
+    rng = random.Random(f"triplet-random|{seed}")
+    while True:
+        b = rng.uniform(0.0, scale)
+        c = rng.uniform(0.0, scale)
+        a = rng.uniform(abs(b - c), b + c)
+        if min(a, b, c) > 0.0 and a <= b + c and b <= a + c and c <= a + b:
+            yield (a, b, c)
+
+
+def uniform_boundary_triplets(seed, scale):
+    """The boundary sampler as written with random.Random.uniform."""
+    rng = random.Random(f"triplet-boundary|{seed}")
+    while True:
+        b = rng.uniform(0.0, scale)
+        c = rng.uniform(0.0, scale)
+        if b > 0.0 and c > 0.0:
+            yield (b + c, b, c)
+
+
+@pytest.mark.parametrize("strategy,reference", [
+    (RandomStrategy(seed=3, count=50_000, scale=40.0), uniform_random_triplets),
+    (BoundaryStrategy(seed=4, count=50_000, scale=20.0),
+     uniform_boundary_triplets),
+])
+def test_samplers_draw_as_uniform_does(strategy, reference):
+    # the samplers write out CPython's uniform formula; a change to it in the
+    # interpreter shows up here as a different stream
+    got = list(sample_tuples(strategy))
+    assert len(got) == 50_000
+    assert got == list(islice(reference(strategy.seed, strategy.scale),
+                              50_000))
