@@ -22,7 +22,12 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, Optional
 
-from .errors import IdentityFails, PointSetMismatch, UnsupportedKind
+from .errors import (
+    IdentityFails,
+    PointSetMismatch,
+    UnsupportedKind,
+    exact_text,
+)
 from .model import (
     ClassTag,
     DistanceTable,
@@ -77,7 +82,8 @@ def _verdict(table: DistanceTable, rows: list[list[int]],
     else:
         shape = f"theta({x},{y}) * (d({x},{z}) + d({z},{y}))"
         data = {"i": i, "j": j, "k": k, "theta": t}
-    return fails(Witness(description=f"d({x},{y}) = {lhs} > {rhs} = {shape}",
+    return fails(Witness(description=(f"d({x},{y}) = {exact_text(lhs)} > "
+                                      f"{exact_text(rhs)} = {shape}"),
                          points=(x, y, z), lhs=lhs, rhs=rhs, data=data))
 
 

@@ -8,6 +8,11 @@ The numeric policy is fixed here: `REL_TOL` for float comparisons, and
 `diverged` for when a running sup of ratios counts as divergence. The pair
 ratios of `classify_fn` and the image-triplet constants of the membership
 scan both go through `diverged`, so the two screens cannot drift apart.
+
+The subadditivity pair loop runs in the expression's generated
+`pairs(schedule, value_at, split, tol)` (see dsl), which reads the lazy
+`sample_pairs` stream and returns its maxima and their first pairs; the
+verdicts and witnesses are built here.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import tee
 from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn, eval_fn
@@ -99,9 +103,19 @@ def sample_pairs(grid: GridSpec, points: list[float]
     positive = [p for p in points if p > 0.0]
     for a in positive:
         yield (a, a)
-    rng = random.Random(f"classify-pairs|{grid.seed}")
+    # two rng.choice(positive) per pair, with CPython's
+    # _randbelow_with_getrandbits written out: k bits, redrawn until below n
+    bits = random.Random(f"classify-pairs|{grid.seed}").getrandbits
+    n = len(positive)
+    k = n.bit_length()
     for _ in range(grid.n_points):
-        yield (rng.choice(positive), rng.choice(positive))
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        yield (positive[i], positive[j])
 
 
 @dataclass(frozen=True)
@@ -244,39 +258,11 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
     amenable = _amenability(value_at)
     increasing = _monotonicity(points, value_at)
 
-    # one pass over the pair schedule feeds both subadditivity views; each
-    # view keeps the (a, b, f(a), f(b), f(a + b)) of the first pair that
-    # sets its maximum, and a witness is built only for a failing verdict.
-    # The two copies of the schedule advance in step, so it is never held.
-    max_defect = -math.inf
-    defect_at = None
-    defect_violates = False
-    sup_ratio = 0.0
-    sup_top = 0.0      # pairs with a + b in (x_max, 2 * x_max]
-    sup_below = 0.0    # pairs with a + b <= x_max
-    ratio_at = None
-    pair_count = 0
-    octave_split = grid.x_max
-    pairs, sums = tee(sample_pairs(grid, points))
-    for (a, b), fab in zip(pairs, f.runner(a + b for a, b in sums)):
-        pair_count += 1
-        fa, fb = value_at[a], value_at[b]
-        defect = fab - fa - fb
-        if defect > max_defect:
-            max_defect = defect
-            defect_at = (a, b, fa, fb, fab)
-        if defect > REL_TOL * max(1.0, abs(fab)):
-            defect_violates = True
-        denom = fa + fb
-        if denom > 0.0:
-            ratio = fab / denom
-            if ratio > sup_ratio:
-                sup_ratio = ratio
-                ratio_at = (a, b, fa, fb, fab)
-            if a + b > octave_split:
-                sup_top = max(sup_top, ratio)
-            else:
-                sup_below = max(sup_below, ratio)
+    # one pass over the pair schedule feeds both subadditivity views; a
+    # witness is built only for a failing verdict
+    (pair_count, max_defect, defect_at, defect_violates, sup_ratio, sup_top,
+     sup_below, ratio_at) = f.pairer(sample_pairs(grid, points), value_at,
+                                     grid.x_max, REL_TOL)
 
     if defect_violates:
         a, b, fa, fb, fab = defect_at

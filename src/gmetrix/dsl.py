@@ -29,20 +29,27 @@ NonFinite (also floor, ceil, min, max or "^" of an intermediate NaN, so no
 comparison or power drops a NaN); a negative final value raises
 OutOfCodomain.
 
-Each RealFn is compiled, on its first float evaluation, to one generated
-Python generator (`RealFn.runner`): straight-line code with one assignment
-per tree node and every check above inline, in a loop that pulls each x
-only when its value is asked for and yields f(x). A failing x raises after
-the values before it have been yielded. Callers zip the values with the xs
-they passed in; eval_fn is the single-x entry on top of it. The
-image-triplet scan has a second generated function, `scan(samples, split)`
-(`RealFn.scanner`), compiled only when a scan first runs: for each sample
-(a, b, c) it evaluates the same checked body at a, then b, then c, applies
-the relaxation-constant formula of triplets._constant and keeps the running
-sups, all in one frame. Both are built from one emitted body, so each check
-is written once. The generated text is built from fixed names, repr(float)
-literals and the grammar's operators only, never from the expression's own
-text.
+Each RealFn has three generated functions from one checked body: the
+straight-line code computing f(x) with one assignment per tree node and
+every check above inline. It is pasted wherever f is evaluated, so each
+check is written once. Each function is compiled on its first use:
+
+- `run(xs)` (`RealFn.runner`), on the first float evaluation: a generator
+  that pulls each x only when its value is asked for and yields f(x). A
+  failing x raises after the values before it have been yielded. Callers
+  zip the values with the xs they passed in; eval_fn is the single-x entry
+  on top of it.
+- `scan(samples, split)` (`RealFn.scanner`), when an image-triplet scan
+  first runs: for each sample (a, b, c) it evaluates the body at a, then b,
+  then c, applies the relaxation-constant formula of triplets._constant and
+  keeps the running sups, all in one frame.
+- `pairs(schedule, value_at, split, tol)` (`RealFn.pairer`), when a grid
+  profile first runs: for each pair (a, b) it evaluates the body at a + b,
+  reads f(a) and f(b) from the profile's point values and keeps both
+  subadditivity views of classify_fn, all in one frame.
+
+The generated text is built from fixed names, repr(float) literals and the
+grammar's operators only, never from the expression's own text.
 
 Expressions built only from "+", "*", "min", "max", literals, and "x" also
 evaluate exactly over rationals (see exact_capable / eval_exact); table
@@ -346,8 +353,8 @@ def _reject(x: float, value: float) -> None:
 
 
 # The emitted text holds fixed names only: x, v0, v1, ... for the node
-# values, the scan's own locals, and the names bound here; no other builtin
-# is reachable.
+# values, the scan's and the pair loop's own locals, and the names bound
+# here; no other builtin is reachable.
 _NAMESPACE = {
     "__builtins__": {"abs": abs, "float": float, "OverflowError": OverflowError},
     "DomainError": DomainError,
@@ -455,8 +462,8 @@ class _Emitter:
 def _checked(ast: Node) -> tuple[str, str]:
     """Loop-body statements computing f(x) with every guard, and the
     operand naming f(x): the argument check, the tree's own guards,
-    OverflowError as NonFinite, and the final-range check. `run` and `scan`
-    both evaluate through these.
+    OverflowError as NonFinite, and the final-range check. `run`, `scan` and
+    `pairs` all evaluate through these.
 
     One assignment per node, so the compiler meets no nesting deeper than
     the eight piece branches. Literals enter as repr(float); operators and
@@ -548,6 +555,55 @@ def scan(samples, split):
 """
 
 
+def _emit_pairs(ast: Node) -> str:
+    """Python source of `pairs(schedule, value_at, split, tol)` for one tree:
+    classify_fn's pair loop.
+
+    For each pair (a, b) it evaluates the body at x = a + b and reads f(a)
+    and f(b) from value_at. It keeps the largest defect
+    f(a + b) - f(a) - f(b), whether any defect exceeds
+    tol * max(1, |f(a + b)|), and the sup of the ratios
+    f(a + b) / (f(a) + f(b)) over pairs with f(a) + f(b) > 0: overall, over
+    sums above split and over the rest. It returns (count, max_defect,
+    defect_at, violates, sup, sup_top, sup_below, ratio_at); defect_at and
+    ratio_at hold (a, b, f(a), f(b), f(a + b)) of the first pair reaching
+    each maximum, or None. After the final-range check f(a + b) >= 0, so
+    max(1, |f(a + b)|) is one comparison.
+    """
+    check, fx = _checked(ast)
+    return f"""\
+def pairs(schedule, value_at, split, tol):
+    max_defect = -_inf
+    defect_at = ratio_at = None
+    violates = False
+    sup = sup_top = sup_below = 0.0
+    count = 0
+    for a, b in schedule:
+        x = a + b
+{check}\
+        fab = {fx}
+        count += 1
+        fa = value_at[a]
+        fb = value_at[b]
+        defect = fab - fa - fb
+        if defect > max_defect:
+            max_defect = defect
+            defect_at = (a, b, fa, fb, fab)
+        if defect > tol * (fab if fab > 1.0 else 1.0): violates = True
+        denom = fa + fb
+        if denom > 0.0:
+            ratio = fab / denom
+            if ratio > sup:
+                sup = ratio
+                ratio_at = (a, b, fa, fb, fab)
+            if x > split:
+                if ratio > sup_top: sup_top = ratio
+            elif ratio > sup_below: sup_below = ratio
+    return (count, max_defect, defect_at, violates, sup, sup_top, sup_below,
+            ratio_at)
+"""
+
+
 def _compile(source: str, name: str):
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<gmetrix expression>", "exec"), namespace)
@@ -576,6 +632,15 @@ class RealFn:
         generated and compiled on first use, so that only a scan pays for
         it. A failing entry raises with its own x, like eval_fn."""
         return _compile(_emit_scan(self.ast), "scan")
+
+    @cached_property
+    def pairer(self) -> Callable[[Iterable[tuple[float, float]],
+                                  dict[float, float], float, float], tuple]:
+        """The grid profile's pair loop `pairs(schedule, value_at, split,
+        tol)` (see _emit_pairs), generated and compiled on first use, so
+        that only a profile pays for it. A failing sum raises with its own
+        x, like eval_fn."""
+        return _compile(_emit_pairs(self.ast), "pairs")
 
     def __call__(self, x) -> float:
         return eval_fn(self, x)

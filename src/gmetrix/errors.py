@@ -6,6 +6,26 @@ Every error raised on purpose derives from :class:`GmetrixError` so callers
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
+
+
+def exact_text(value) -> str:
+    """str(value), also for an int or Fraction with more digits than
+    sys.get_int_max_str_digits(), where str raises: such an int is written
+    in chunks below the limit, which stays as it is."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return exact_text(value.numerator)
+        return f"{exact_text(value.numerator)}/{exact_text(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:  # an int past the digit limit
+        k = sys.get_int_max_str_digits() - 1
+        high, low = divmod(abs(value), 10 ** k)
+        sign = "-" if value < 0 else ""
+        return f"{sign}{exact_text(high)}{str(low).zfill(k)}"
+
 
 class GmetrixError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,20 +48,22 @@ class InvalidEntry(GmetrixError):
 class NegativeEntry(GmetrixError):
     def __init__(self, i: int, j: int, value) -> None:
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"entries[{i}][{j}] = {value} is negative")
+        super().__init__(f"entries[{i}][{j}] = {exact_text(value)} is negative")
 
 
 class NonzeroDiagonal(GmetrixError):
     def __init__(self, i: int, value) -> None:
         self.i, self.value = i, value
-        super().__init__(f"entries[{i}][{i}] = {value}, diagonal must be 0")
+        super().__init__(
+            f"entries[{i}][{i}] = {exact_text(value)}, diagonal must be 0")
 
 
 class AsymmetricEntry(GmetrixError):
     def __init__(self, i: int, j: int, left, right) -> None:
         self.i, self.j = i, j
         self.left, self.right = left, right
-        super().__init__(f"entries[{i}][{j}] = {left} != {right} = entries[{j}][{i}]")
+        super().__init__(f"entries[{i}][{j}] = {exact_text(left)} != "
+                         f"{exact_text(right)} = entries[{j}][{i}]")
 
 
 class PointSetMismatch(GmetrixError):

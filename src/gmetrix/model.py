@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     SpaceFormatError,
     UnsupportedKind,
+    exact_text,
 )
 
 RationalLike = Union[int, str, Fraction]
@@ -66,11 +67,17 @@ def _exponent_fits(text: str) -> bool:
 
 
 def rational_to_json(value: Fraction) -> Union[int, str]:
-    """Encode a rational as an int when integral, else a "p/q" string."""
+    """Encode a rational as an int when integral, else a "p/q" string. An
+    integer with more digits than sys.get_int_max_str_digits(), which the
+    JSON encoder cannot write as a number, is a string of its digits."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    if value.denominator != 1:
+        return exact_text(value)
+    try:
+        str(value.numerator)
+    except ValueError:  # past the digit limit
+        return exact_text(value)
+    return value.numerator
 
 
 def encode_value(value):
@@ -305,7 +312,8 @@ class ThetaTable(_RationalTable):
 
     @staticmethod
     def _below_floor(i: int, j: int, value: Fraction) -> InvalidTheta:
-        return InvalidTheta(f"theta[{i}][{j}] = {value} is below 1")
+        return InvalidTheta(
+            f"theta[{i}][{j}] = {exact_text(value)} is below 1")
 
     def max_entry(self) -> Fraction:
         return max(v for row in self.entries for v in row)

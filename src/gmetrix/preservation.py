@@ -42,6 +42,7 @@ from .errors import (
     PreconditionViolated,
     SourceClassViolated,
     UnsupportedClass,
+    exact_text,
 )
 from .model import (
     ClassTag,
@@ -142,8 +143,8 @@ def preserve_check(f: RealFn, table: DistanceTable,
     except NonzeroDiagonal as err:
         p = table.points[err.i]
         return fails(Witness(
-            description=(f"f(d({p},{p})) = f(0) = {err.value}, but the "
-                         f"image of d({p},{p}) = 0 must be 0"),
+            description=(f"f(d({p},{p})) = f(0) = {exact_text(err.value)}, "
+                         f"but the image of d({p},{p}) = 0 must be 0"),
             points=(p,), lhs=err.value, rhs=Fraction(0), data={"i": err.i}))
     return axioms.verify_as(image, target)
 

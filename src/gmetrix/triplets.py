@@ -149,8 +149,8 @@ class GridStrategy:
     max: Length
 
     def __post_init__(self) -> None:
-        if self.step <= 0 or self.max < self.step:
-            raise PreconditionViolated("need 0 < step <= max")
+        if not 0 < self.step <= self.max < math.inf:  # NaN fails too
+            raise PreconditionViolated("need 0 < step <= max < inf")
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class RandomStrategy:
     scale: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.count < 0 or self.scale <= 0:
-            raise PreconditionViolated("need count >= 0 and scale > 0")
+        if self.count < 0 or not 0 < self.scale < math.inf:
+            raise PreconditionViolated("need count >= 0 and 0 < scale < inf")
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ class BoundaryStrategy:
     scale: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.count < 0 or self.scale <= 0:
-            raise PreconditionViolated("need count >= 0 and scale > 0")
+        if self.count < 0 or not 0 < self.scale < math.inf:
+            raise PreconditionViolated("need count >= 0 and 0 < scale < inf")
 
 
 Strategy = Union[GridStrategy, RandomStrategy, BoundaryStrategy]

@@ -1,8 +1,10 @@
 """Grid profiles: amenability, monotonicity, subadditivity, divergence."""
 
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gmetrix import (
     GridSpec,
@@ -14,8 +16,16 @@ from gmetrix import (
     sample_points,
     verify_plateau,
 )
-from gmetrix import classify
-from gmetrix.errors import DomainError, OutOfCodomain, PreconditionViolated
+from gmetrix import classify, eval_fn
+from gmetrix.errors import (
+    DomainError,
+    EvalError,
+    OutOfCodomain,
+    ParseError,
+    PreconditionViolated,
+)
+from oracles import reference_eval
+from test_dsl import _expressions, _outcome
 
 GRID_10 = GridSpec(x_max=10.0, n_points=2000, seed=1)
 GRID_20 = GridSpec(x_max=20.0, n_points=2000, seed=1)
@@ -46,6 +56,28 @@ def test_sample_points_contract():
     assert 1.0 in pts
     assert pts == sample_points(GRID_10)  # deterministic
     assert pts != sample_points(GridSpec(x_max=10.0, n_points=2000, seed=2))
+
+
+def _choice_pairs(grid):
+    """The pair schedule drawn with rng.choice, as the sampler's written-out
+    index draws must reproduce it."""
+    positive = [p for p in sample_points(grid) if p > 0.0]
+    rng = random.Random(f"classify-pairs|{grid.seed}")
+    return [(a, a) for a in positive] + [
+        (rng.choice(positive), rng.choice(positive))
+        for _ in range(grid.n_points)]
+
+
+# x_max 1.0 with 2 and 3 points has 32 and 33 positive points: on a power of
+# two, and just past one, where about half of the draws are redrawn
+@pytest.mark.parametrize("x_max, n_points", [
+    (1.0, 2), (1.0, 3), (20.0, 2), (20.0, 3), (20.0, 600), (20.0, 1200),
+    (20.0, 2000), (20.0, 10_000)])
+def test_sample_pairs_draws_as_choice_does(x_max, n_points):
+    for seed in (0, 1, 7):
+        grid = GridSpec(x_max=x_max, n_points=n_points, seed=seed)
+        assert list(sample_pairs(grid, sample_points(grid))) \
+            == _choice_pairs(grid)
 
 
 def test_square_profile():
@@ -164,8 +196,11 @@ def test_divergence_rule_boundaries(sup, sup_top, sup_below, expected):
 ORACLE_GRID = GridSpec(x_max=20.0, n_points=600, seed=1)
 # plain-math twins of the profiled expressions, with the expected
 # (subadditive fails, quasi-subadditive fails); the step function ties 16
-# pairs at both maxima, so only a first-arg-max rule names the oracle's pair
+# pairs at both maxima, so only a first-arg-max rule names the oracle's pair;
+# the linear one has rounding defects above REL_TOL but below
+# REL_TOL * f(a + b), so only the relative tolerance keeps it subadditive
 ORACLE_FNS = {
+    "1000000000 * x": (lambda x: 1e9 * x, False, False),
     "x^2": (lambda x: x ** 2.0, True, False),
     "sqrt(x)": (math.sqrt, False, False),
     "exp(x) - 1": (lambda x: math.exp(x) - 1.0, True, True),
@@ -224,6 +259,72 @@ def test_profile_matches_pair_oracle(source):
         assert data["ratio"] == sup
     else:
         assert quasi.constants == {"s_star_estimate": max(1.0, sup)}
+
+
+PAIR_GRID = GridSpec(x_max=2.5, n_points=30, seed=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_expressions(), st.builds(
+    lambda points, sums: f"piece(x <= 2.5 ? {points} : {sums})",
+    _expressions(), _expressions())))
+def test_emitted_pair_loop_matches_pair_oracle(source):
+    # the emitted loop's eight outputs, or the error of the first failing
+    # sum, against the oracle over the reference interpreter; the piece
+    # form evaluates its second branch only at sums above x_max, so many
+    # of its loops fail part-way
+    try:
+        f = parse_fn(source)
+    except ParseError:  # more piece branches than the cap
+        assume(False)
+    points = sample_points(PAIR_GRID)
+    try:
+        value_at = {p: reference_eval(f.ast, p) for p in points}
+    except EvalError:  # the profile stops before its pair loop
+        assume(False)
+    pairs = list(sample_pairs(PAIR_GRID, points))
+
+    def reference(x):
+        return reference_eval(f.ast, x)
+
+    def oracle():
+        (max_defect, defect_pair, violates,
+         sup, ratio_pair, sup_top, sup_below) = _pair_oracle(reference,
+                                                             PAIR_GRID)
+        return (len(pairs), max_defect, defect_pair, violates, sup, sup_top,
+                sup_below, ratio_pair)
+
+    def emitted():
+        (count, max_defect, defect_at, violates, sup, sup_top, sup_below,
+         ratio_at) = f.pairer(iter(pairs), value_at, PAIR_GRID.x_max,
+                              classify.REL_TOL)
+        for at in (defect_at, ratio_at):
+            if at is not None:
+                a, b, fa, fb, fab = at
+                assert (fa, fb, fab) == (value_at[a], value_at[b],
+                                         reference(a + b))
+        return (count, max_defect, defect_at and defect_at[:2], violates,
+                sup, sup_top, sup_below, ratio_at and ratio_at[:2])
+
+    assert _outcome(emitted) == _outcome(oracle)
+
+
+def test_pair_loop_failing_part_way_raises_as_eval_fn_does():
+    # every point of [0, 20] evaluates, so the profile fails in its pair
+    # loop, at the first sum above 20 in schedule order
+    grid = GridSpec(x_max=20.0, n_points=200, seed=1)
+    f = parse_fn("sqrt(20 - x)")
+    pairs = list(sample_pairs(grid, sample_points(grid)))
+    first = next(i for i, (a, b) in enumerate(pairs) if a + b > 20.0)
+    assert 0 < first < len(pairs) - 1
+    x = sum(pairs[first])
+    with pytest.raises(EvalError) as expected:
+        eval_fn(f, x)
+    with pytest.raises(EvalError) as excinfo:
+        classify_fn(f, grid)
+    assert type(excinfo.value) is type(expected.value) is DomainError
+    assert (str(excinfo.value), excinfo.value.x) \
+        == (str(expected.value), x)
 
 
 def test_profile_builds_only_the_witnesses_it_reports(monkeypatch):

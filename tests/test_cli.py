@@ -150,6 +150,36 @@ def test_document_entry_with_huge_exponent_is_a_file_error(capsys, tmp_path):
     assert "exceeds the int digit limit" in err
 
 
+def test_entry_past_the_int_str_limit_is_printed_in_full(capsys, tmp_path):
+    # 10^4300 has 4,301 digits, one more than str() of an int may write by
+    # default; the verdicts, witnesses and the file error still print it
+    digits = "1" + "0" * 4300
+    path = tmp_path / "three.json"
+    path.write_text('{"points": ["x", "y", "z"], "entries": '
+                    '[[0, "1e4300", 1], ["1e4300", 0, 1], [1, 1, 0]]}',
+                    encoding="utf-8")
+    code, doc, _ = run(capsys, "space", "verify", str(path), "--class",
+                       "metric")
+    assert code == 1
+    witness = doc["verdict"]["witness"]
+    assert (witness["lhs"], witness["rhs"]) == (digits, 2)
+    assert witness["description"] == f"d(x,y) = {digits} > 2 = " \
+        "sum(d(x,z), d(z,y))"
+    code, doc, _ = run(capsys, "space", "verify", str(path))
+    assert code == 0
+    verdicts = doc["classification"]
+    assert verdicts["metric"]["witness"]["lhs"] == digits
+    # half of it has 4,300 digits, so it stays a JSON number
+    assert verdicts["b-metric"]["constants"]["s_min"] == 5 * 10 ** 4299
+    # a negative entry is a file problem, as "-1" is
+    path.write_text('{"points": ["x", "y"], '
+                    '"entries": [[0, "-1e4300"], ["-1e4300", 0]]}',
+                    encoding="utf-8")
+    code, doc, err = run(capsys, "space", "verify", str(path))
+    assert (code, doc) == (66, None)
+    assert f"entries[0][1] = -{digits} is negative" in err
+
+
 @pytest.mark.parametrize("source", ["floor(x*x - x*x)", "ceil(x*x - x*x)"])
 def test_rounding_a_nan_is_undecidable(capsys, source):
     # inf - inf is NaN, which math.floor and math.ceil refuse
@@ -583,6 +613,9 @@ def test_scanner_compiles_only_when_a_scan_runs(capsys, monkeypatch, tmp_path):
                      "--target", "metric")
     assert code == 0
     assert ["scanner" in f.__dict__ for f in parsed] == [False] * 5
+    # the profile's pair loop, likewise, only where a profile runs
+    assert ["pairer" in f.__dict__ for f in parsed] \
+        == [True, True, True, False, False]
 
     _, doc, _ = run(capsys, "member", "x", "--class", "B", "--points", "500",
                     "--samples", "10")

@@ -37,8 +37,9 @@ from gmetrix.errors import (
     ShapeMismatch,
     SpaceFormatError,
     UnsupportedKind,
+    exact_text,
 )
-from gmetrix.model import MAX_SPACE_POINTS, as_rational
+from gmetrix.model import MAX_SPACE_POINTS, as_rational, rational_to_json
 
 from oracles import brute_is_metric, brute_is_ultra
 
@@ -179,6 +180,33 @@ def test_exponent_at_the_digit_limit_is_accepted():
     assert as_rational("25e-1") == Fraction(5, 2)
     with pytest.raises(InvalidEntry, match="not an exact rational"):
         as_rational("1e")
+
+
+def _read_digits(text):
+    """An int from its decimal text, read 1,000 digits at a time."""
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def test_values_past_the_int_str_limit_are_written_in_full():
+    huge = 3 ** 20000  # 9,543 digits
+    for n in (huge, -huge, 10 ** 4300, -(10 ** 4300) - 1):
+        text = exact_text(n)
+        assert text[text.startswith("-"):][0] != "0"
+        assert _read_digits(text) == n
+        assert rational_to_json(Fraction(n)) == text
+        assert exact_text(Fraction(n, 7)) == f"{text}/7"
+        assert rational_to_json(Fraction(7, n)) \
+            == ("-7/" if n < 0 else "7/") + text.lstrip("-")
+    # an int the JSON encoder can write stays a number
+    assert rational_to_json(Fraction(10 ** 4299)) == 10 ** 4299
+    assert exact_text(Fraction(-3, 4)) == "-3/4"
+    with pytest.raises(NegativeEntry, match=f"= -{exact_text(huge)} is"):
+        new_distance_table(["x", "y"], [[0, -huge], [-huge, 0]])
 
 
 @pytest.mark.parametrize("content", [

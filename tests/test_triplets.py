@@ -189,6 +189,18 @@ def test_strategy_validation():
         list(sample_triplets("not a strategy"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_strategies_reject_non_finite_fields(bad):
+    # each fails in its own validator, not later inside the sampler
+    for make in (lambda: GridStrategy(step=bad, max=1.0),
+                 lambda: GridStrategy(step=0.5, max=bad),
+                 lambda: GridStrategy(step=bad, max=bad),
+                 lambda: RandomStrategy(seed=0, count=1, scale=bad),
+                 lambda: BoundaryStrategy(seed=0, count=1, scale=bad)):
+        with pytest.raises(PreconditionViolated, match="< inf"):
+            make()
+
+
 def uniform_random_triplets(seed, scale):
     """The random sampler as written with random.Random.uniform."""
     rng = random.Random(f"triplet-random|{seed}")
