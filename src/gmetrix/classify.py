@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn, eval_fn
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, exact_text
 from .model import Verdict, Witness, encode_value, fails, holds, inconclusive
 
 #: Relative tolerance used by float-side comparisons (monotonicity, defects,
@@ -82,7 +82,7 @@ _GEO_FLOOR = 1e-9  # geometric tail stops here; below it float noise dominates
 
 def sample_points(grid: GridSpec) -> list[float]:
     """Deterministic sorted sample set for a grid spec (includes 0.0)."""
-    rng = random.Random(f"classify-points|{grid.seed}")
+    rng = random.Random(f"classify-points|{exact_text(grid.seed)}")
     pts = {0.0, grid.x_max}
     step = grid.x_max / (grid.n_points - 1)
     for i in range(grid.n_points):
@@ -105,7 +105,8 @@ def sample_pairs(grid: GridSpec, points: list[float]
         yield (a, a)
     # two rng.choice(positive) per pair, with CPython's
     # _randbelow_with_getrandbits written out: k bits, redrawn until below n
-    bits = random.Random(f"classify-pairs|{grid.seed}").getrandbits
+    bits = random.Random(
+        f"classify-pairs|{exact_text(grid.seed)}").getrandbits
     n = len(positive)
     k = n.bit_length()
     for _ in range(grid.n_points):
@@ -149,10 +150,11 @@ class FnProfile:
 
 
 def _geometric_tail(top: float, floor: float) -> list[float]:
-    """top, top/2, top/4, ... down to floor (descending)."""
+    """top, top/2, top/4, ... down to floor (descending), and never past
+    the last positive float: a floor that underflowed to 0 ends there."""
     out = []
     x = top
-    while x >= floor:
+    while x >= floor and x > 0.0:
         out.append(x)
         x /= 2.0
     return out

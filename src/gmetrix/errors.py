@@ -27,6 +27,14 @@ def exact_text(value) -> str:
         return f"{sign}{exact_text(high)}{str(low).zfill(k)}"
 
 
+def exact_repr(value) -> str:
+    """repr(value) for a message, but an int or Fraction is written by
+    exact_text, so that one past the int digit limit can be shown."""
+    if isinstance(value, (int, Fraction)):
+        return exact_text(value)
+    return repr(value)
+
+
 class GmetrixError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     SpaceFormatError,
     UnsupportedKind,
+    exact_repr,
     exact_text,
 )
 
@@ -263,8 +264,8 @@ class _RationalTable:
         for i, row in enumerate(entries):
             for j, value in enumerate(row):
                 if not isinstance(value, Fraction):
-                    raise InvalidEntry(
-                        f"{label}[{i}][{j}] = {value!r} is not a Fraction")
+                    raise InvalidEntry(f"{label}[{i}][{j}] = "
+                                       f"{exact_repr(value)} is not a Fraction")
                 if value < floor:
                     raise self._below_floor(i, j, value)
         if self._ZERO_DIAGONAL:
@@ -483,7 +484,7 @@ def random_space(kind: ClassTag, n: int, seed: int
         raise UnsupportedKind(f"{kind!r} is not a space kind")
     if n < 2:
         raise PreconditionViolated("random spaces need n >= 2")
-    rng = random.Random(f"{kind.value}|{n}|{seed}")
+    rng = random.Random(f"{kind.value}|{n}|{exact_text(seed)}")
     if kind is ClassTag.ULTRAMETRIC:
         rows = _random_ultrametric(rng, n)
     elif kind is ClassTag.METRIC:

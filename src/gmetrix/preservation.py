@@ -57,17 +57,15 @@ from .model import (
 )
 from .region import RegionSpec, region_check
 from .triplets import (
-    BoundaryStrategy,
-    GridStrategy,
     PlanarPoint,
     RandomStrategy,
     Sample,
     Triplet,
     is_s_triplet,
     is_theta_triplet,
+    mixed_tuples,
     realize_in_plane,
     sample_triplets,
-    sample_tuples,
     triplet_constant,
 )
 
@@ -80,8 +78,8 @@ def _entry_floats(values):
         try:
             yield float(value)
         except OverflowError:
-            raise NonFinite(str(value), "table entry outside the float "
-                                        "range") from None
+            raise NonFinite(exact_text(value), "table entry outside the "
+                                               "float range") from None
 
 
 def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
@@ -173,6 +171,9 @@ class Budget:
         if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
             raise PreconditionViolated(
                 f"triplet scale {scale!r} overflows when doubled")
+        if scale / 20.0 == 0.0:  # the step of mixed_tuples' grid sweep
+            raise PreconditionViolated(
+                f"triplet scale {scale!r} underflows when divided by 20")
 
     def effective_scale(self) -> float:
         return self.scale if self.scale is not None else 2.0 * self.grid.x_max
@@ -244,22 +245,10 @@ class _TripletScan:
         return diverged(self.sup, self.sup_top, self.sup_below)
 
 
-def _mixed_triplets(seed: int, scale: float):
-    """Grid sweep first, then alternating random and boundary triplets."""
-    yield from sample_tuples(GridStrategy(step=scale / 20.0, max=scale))
-    randoms = sample_tuples(RandomStrategy(seed=seed, count=10 ** 9,
-                                           scale=scale))
-    boundary = sample_tuples(BoundaryStrategy(seed=seed + 1, count=10 ** 9,
-                                              scale=scale / 2.0))
-    for r, b in zip(randoms, boundary):
-        yield r
-        yield b
-
-
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
     return _TripletScan(*f.scanner(
-        islice(_mixed_triplets(budget.seed, scale), budget.triplet_samples),
+        islice(mixed_tuples(budget.seed, scale), budget.triplet_samples),
         scale / 2.0))
 
 
@@ -622,8 +611,8 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         subadditive_unit_estimate)
 
     def scalar_pointwise_agreement():
-        triplets = list(islice(
-            sample_triplets(RandomStrategy(seed=base + 500, count=500)), 500))
+        triplets = list(sample_triplets(RandomStrategy(seed=base + 500,
+                                                       count=500)))
         for t in triplets:
             k = float(triplet_constant(t)) * (1.0 + 1e-12)
             if not is_s_triplet(t, k):

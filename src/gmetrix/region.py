@@ -275,7 +275,12 @@ def emit_region_svg(f: RealFn, spec: RegionSpec, path) -> RegionReport:
     report = region_check(f, spec)
     text = render_region_svg(f, spec, report)
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # no half-written plot is left behind
+        os.remove(tmp)
+        raise
     return report

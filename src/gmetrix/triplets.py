@@ -2,11 +2,15 @@
 
 A triplet (a, b, c) is three candidate side lengths. The relaxed membership
 predicates mirror the axiom checks entrywise: plain triangle conditions, one
-scalar bound s, or one bound per component. The samplers yield plain tuples
-(`sample_tuples`, which the membership scan reads) or validated `Triplet`s
-(`sample_triplets`). `_constant` is the relaxation-constant formula of
-`triplet_constant`; the generated scan of `dsl` writes the same comparisons
-out inline, and tests hold the two equal.
+scalar bound s, or one bound per component. The seeded samplers are
+unbounded generators over (seed, scale), whose scale the strategies check
+once, at construction; `sample_tuples` cuts a strategy's stream to its
+`count`, and `sample_triplets` yields the same samples as validated
+`Triplet`s. The membership scan reads `mixed_tuples`, the grid sweep and
+then both seeded samplers in turn, and cuts it to its budget. `_constant`
+is the relaxation-constant formula of `triplet_constant`; the generated
+scan of `dsl` writes the same comparisons out inline, and tests hold the
+two equal.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from numbers import Rational
 from typing import Iterator, Union
 
@@ -24,6 +29,8 @@ from .errors import (
     NonPositiveEntry,
     NotATriplet,
     PreconditionViolated,
+    exact_repr,
+    exact_text,
 )
 
 Length = Union[int, float, Fraction]
@@ -41,7 +48,8 @@ class Triplet:
             if isinstance(value, float) and not math.isfinite(value):
                 raise PreconditionViolated(f"{name} = {value!r} is not finite")
             if value < 0:
-                raise PreconditionViolated(f"{name} = {value!r} is negative")
+                raise PreconditionViolated(
+                    f"{name} = {exact_repr(value)} is negative")
 
     @property
     def mode(self) -> str:
@@ -63,7 +71,7 @@ def is_triangle_triplet(t: Triplet) -> bool:
 def is_s_triplet(t: Triplet, s: Length) -> bool:
     """Each entry at most s times the sum of the other two."""
     if s < 1:
-        raise InvalidS(f"s = {s!r} is below 1")
+        raise InvalidS(f"s = {exact_repr(s)} is below 1")
     a, b, c = t.as_tuple()
     return a <= s * (b + c) and b <= s * (a + c) and c <= s * (a + b)
 
@@ -73,7 +81,7 @@ def is_theta_triplet(t: Triplet, bound_a: Length, bound_b: Length,
     """Entrywise bounds: each entry gets its own relaxation factor."""
     for bound in (bound_a, bound_b, bound_c):
         if bound < 1:
-            raise InvalidTheta(f"bound {bound!r} is below 1")
+            raise InvalidTheta(f"bound {exact_repr(bound)} is below 1")
     a, b, c = t.as_tuple()
     return (a <= bound_a * (b + c)
             and b <= bound_b * (a + c)
@@ -132,7 +140,9 @@ def realize_in_plane(t: Triplet) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint]
         raise NotATriplet(f"{(a, b, c)} violates the triangle conditions")
     exponent = math.frexp(max(a, b, c))[1]
     sa, sb, sc = (math.ldexp(v, -exponent) for v in (a, b, c))
-    wx = (sa * sa + sb * sb - sc * sc) / (2 * sa)
+    # sa is 0 only for an a below the float range beside the largest side;
+    # the triangle check then forces b == c, and w sits over a / 2, i.e. 0
+    wx = (sa * sa + sb * sb - sc * sc) / (2 * sa) if sa else 0.0
     wy_sq = sb * sb - wx * wx
     wy = math.sqrt(wy_sq) if wy_sq > 0 else 0.0  # clamp float fuzz at collinear
     return (PlanarPoint(0.0, 0.0), PlanarPoint(a, 0.0),
@@ -154,29 +164,27 @@ class GridStrategy:
 
 
 @dataclass(frozen=True)
-class RandomStrategy:
+class _SeededStrategy:
+    """`count` triplets from seed `seed`, entries at most `scale`; the
+    largest sum of two entries, 2 * scale, must be a finite float."""
+
+    seed: int
+    count: int
+    scale: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.count, int) and self.count >= 0
+                and 0 < 2 * self.scale < math.inf):  # NaN fails too
+            raise PreconditionViolated(
+                "need an int count >= 0 and 0 < 2 * scale < inf")
+
+
+class RandomStrategy(_SeededStrategy):
     """Seeded random triplets with entries in (0, scale]."""
 
-    seed: int
-    count: int
-    scale: float = 10.0
 
-    def __post_init__(self) -> None:
-        if self.count < 0 or not 0 < self.scale < math.inf:
-            raise PreconditionViolated("need count >= 0 and 0 < scale < inf")
-
-
-@dataclass(frozen=True)
-class BoundaryStrategy:
+class BoundaryStrategy(_SeededStrategy):
     """Seeded degenerate triplets with a = b + c exactly (as floats)."""
-
-    seed: int
-    count: int
-    scale: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.count < 0 or not 0 < self.scale < math.inf:
-            raise PreconditionViolated("need count >= 0 and 0 < scale < inf")
 
 
 Strategy = Union[GridStrategy, RandomStrategy, BoundaryStrategy]
@@ -198,39 +206,40 @@ def _grid_triplets(strategy: GridStrategy) -> Iterator[Sample]:
 
 # The samplers draw as random.Random.uniform(lo, hi) does, with its formula
 # lo + (hi - lo) * random() written out; from lo = 0.0 that is scale * draw(),
-# bit for bit, since 0.0 + y is y for every y >= 0.
+# bit for bit, since 0.0 + y is y for every y >= 0. They never stop; the
+# strategies' check that 2 * scale is finite keeps every sum b + c finite.
 
-def _random_triplets(strategy: RandomStrategy) -> Iterator[Sample]:
-    draw = random.Random(f"triplet-random|{strategy.seed}").random
-    scale = strategy.scale
-    produced = 0
-    while produced < strategy.count:
+def _random_triplets(seed: int, scale: float) -> Iterator[Sample]:
+    draw = random.Random(f"triplet-random|{exact_text(seed)}").random
+    while True:
         b = scale * draw()
         c = scale * draw()
         lo = abs(b - c)
         a = lo + (b + c - lo) * draw()
-        if min(a, b, c) <= 0.0:
-            continue
-        if not math.isfinite(b + c):
-            raise PreconditionViolated(f"scale {scale!r} overflows")
-        if a <= b + c and b <= a + c and c <= a + b:  # no 1-ulp overshoot
-            produced += 1
+        # positive entries, and a rounded a may not overshoot by an ulp
+        if (a > 0.0 and b > 0.0 and c > 0.0
+                and a <= b + c and b <= a + c and c <= a + b):
             yield (a, b, c)
 
 
-def _boundary_triplets(strategy: BoundaryStrategy) -> Iterator[Sample]:
-    draw = random.Random(f"triplet-boundary|{strategy.seed}").random
-    scale = strategy.scale
-    produced = 0
-    while produced < strategy.count:
+def _boundary_triplets(seed: int, scale: float) -> Iterator[Sample]:
+    draw = random.Random(f"triplet-boundary|{exact_text(seed)}").random
+    while True:
         b = scale * draw()
         c = scale * draw()
-        if b <= 0.0 or c <= 0.0:
-            continue
-        if not math.isfinite(b + c):
-            raise PreconditionViolated(f"scale {scale!r} overflows")
-        produced += 1
-        yield (b + c, b, c)
+        if b > 0.0 and c > 0.0:
+            yield (b + c, b, c)
+
+
+def mixed_tuples(seed: int, scale: float) -> Iterator[Sample]:
+    """The membership scan's unbounded stream: the grid sweep with step
+    scale / 20, then random triplets (entries up to scale) alternating with
+    boundary ones from seed + 1 (entries up to scale / 2). The caller checks
+    the scale as `Budget` does: 2 * scale finite, scale / 20 positive."""
+    return chain(_grid_triplets(GridStrategy(step=scale / 20.0, max=scale)),
+                 chain.from_iterable(zip(
+                     _random_triplets(seed, scale),
+                     _boundary_triplets(seed + 1, scale / 2.0))))
 
 
 def sample_tuples(strategy: Strategy) -> Iterator[Sample]:
@@ -238,10 +247,12 @@ def sample_tuples(strategy: Strategy) -> Iterator[Sample]:
     if isinstance(strategy, GridStrategy):
         return _grid_triplets(strategy)
     if isinstance(strategy, RandomStrategy):
-        return _random_triplets(strategy)
-    if isinstance(strategy, BoundaryStrategy):
-        return _boundary_triplets(strategy)
-    raise PreconditionViolated(f"unknown sampling strategy {strategy!r}")
+        stream = _random_triplets
+    elif isinstance(strategy, BoundaryStrategy):
+        stream = _boundary_triplets
+    else:
+        raise PreconditionViolated(f"unknown sampling strategy {strategy!r}")
+    return islice(stream(strategy.seed, strategy.scale), strategy.count)
 
 
 def sample_triplets(strategy: Strategy) -> Iterator[Triplet]:

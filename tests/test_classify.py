@@ -58,6 +58,18 @@ def test_sample_points_contract():
     assert pts != sample_points(GridSpec(x_max=10.0, n_points=2000, seed=2))
 
 
+def test_grid_seeds_past_the_int_str_limit_still_draw():
+    seed = 10 ** 5000  # str(seed) raises at the default digit limit
+    grid = GridSpec(x_max=10.0, n_points=50, seed=seed)
+    points = sample_points(grid)
+    assert points == sample_points(grid)
+    assert points != sample_points(GridSpec(x_max=10.0, n_points=50,
+                                            seed=seed + 1))
+    pairs = list(sample_pairs(grid, points))
+    assert pairs == list(sample_pairs(grid, points))
+    assert len(pairs) == len(points) - 1 + 50
+
+
 def _choice_pairs(grid):
     """The pair schedule drawn with rng.choice, as the sampler's written-out
     index draws must reproduce it."""

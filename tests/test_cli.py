@@ -403,6 +403,89 @@ def test_member_exit_codes(capsys):
     assert doc["status"] == "inconclusive"
 
 
+# the grid and triplet budget of test_preservation's rung tests
+_RUNG_FLAGS = ("--samples", "6000", "--points", "1200", "--grid-seed", "0",
+               "--seed", "0")
+
+
+@pytest.mark.parametrize("source, klass, code, basis", [
+    ("piece(x <= 30 ? x : piece(x < 35 ? 0 : x))", "B", 1,
+     gmetrix.BASIS_AMENABILITY),
+    ("piece(x < 30 ? x : piece(x <= 30 ? 1000000000 : x))", "MB", 1,
+     gmetrix.BASIS_TRIPLET_DIVERGENCE),
+    ("piece(x < 30 ? piece(x <= 1 ? x : 1 + 1/x) : "
+     "piece(x <= 30 ? 1000000000 : 1 + 1/x))", "EB", 2, None),
+    ("piece(x <= 1 ? x : 1 + 1/x)", "DU", 2, None),
+])
+def test_member_exit_codes_of_the_scan_rungs(capsys, source, klass, code,
+                                             basis):
+    got, doc, _ = run(capsys, "member", source, "--class", klass,
+                      *_RUNG_FLAGS)
+    assert (got, doc["basis"]) == (code, basis)
+
+
+#: the largest seed --seed reads (int() takes up to 4,300 digits)
+_HUGE_SEED = "9" * 4300
+
+
+def test_seed_at_the_int_str_limit_is_drawn_from(capsys):
+    # seed + 1 and seed * 1000 + i have more digits than str() may write
+    code, doc, _ = run(capsys, "member", "x", "--class", "B",
+                       "--seed", _HUGE_SEED, "--samples", "20000")
+    assert (code, doc["status"]) == (0, "member")
+    assert doc["budget"]["seed"] == int(_HUGE_SEED)
+    code, doc, _ = run(capsys, "search", "exp(x)-1", "--class", "MB",
+                       "--seed", _HUGE_SEED, "--samples", "20000")
+    assert code == 1
+    assert doc["witness"] is not None
+    code, doc, _ = run(capsys, "suite", "--seed", _HUGE_SEED)
+    assert code == 0
+    assert len(doc["assertions"]) == 12
+    assert all(item["passed"] for item in doc["assertions"])
+
+
+def test_preserve_names_an_entry_past_the_float_and_digit_limits(capsys,
+                                                                tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text('{"points": ["x", "y"], '
+                    '"entries": [[0, "1e4300"], ["1e4300", 0]]}',
+                    encoding="utf-8")
+    code, doc, err = run(capsys, "preserve", "x^2", "--space", str(path),
+                         "--target", "metric")
+    assert (code, doc) == (2, None)
+    assert "table entry outside the float range (at x = '1" + "0" * 4300 \
+        in err
+
+
+@pytest.mark.parametrize("command", ["member", "search"])
+@pytest.mark.parametrize("flags", [("--scale", "5e-324"),
+                                   ("--x-max", "5e-324")])
+def test_triplet_scale_whose_twentieth_underflows_is_a_usage_error(
+        capsys, command, flags):
+    code, _, err = run(capsys, command, "x", "--class", "B", *flags,
+                       "--points", "10", "--samples", "10")
+    assert code == 64
+    assert "underflows when divided by 20" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("fn", "classify", "x/(1+x)", "--points", "9", "--plateau-b",
+      "8e-319"), 0),
+    (("region", "check", "x", "--a", "1", "--b", "5e-324", "--n", "2"), 2),
+])
+def test_plateau_edge_whose_tail_floor_underflows_ends(capsys, argv, code):
+    # b * 2^-30 underflows to 0, and the geometric tail stops at the last
+    # positive float instead of halving zero forever
+    assert run(capsys, *argv)[0] == code
+
+
+def test_realize_sides_that_span_the_float_range(capsys):
+    code, doc, _ = run(capsys, "realize", "7.577708634473567e-264",
+                       "1.6069380442589903e+60", "1.6069380442589903e+60")
+    assert code == 0
+    assert doc["points"]["w"] == [0.0, 1.6069380442589903e+60]
+
+
 def test_member_rejects_unsupported_classes(capsys):
     code, _, err = run(capsys, "member", "x", "--class", "M",
                        "--points", "500", "--samples", "100")
@@ -495,6 +578,16 @@ def test_region_check_and_plot(capsys, tmp_path):
     assert code == 0
     assert doc["svg"] == str(svg)
     assert svg.read_text(encoding="utf-8").startswith("<svg ")
+
+
+def test_region_plot_onto_a_directory_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "out.svg"
+    target.mkdir()
+    code, doc, err = run(capsys, "region", "plot", "ceil(x)", "--a", "1",
+                         "--b", "1", "--n", "3", "-o", str(target))
+    assert (code, doc) == (66, None)
+    assert "file error" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.svg"]
 
 
 def test_region_check_failure_exits_one(capsys):

@@ -60,6 +60,14 @@ def test_table_rejects_bools():
         new_distance_table(["x", "y"], [[0, True], [True, 0]])
 
 
+def test_table_rejects_a_non_fraction_past_the_int_str_limit():
+    huge = 10 ** 5000
+    with pytest.raises(InvalidEntry, match=f"= {exact_text(huge)} is not a"):
+        DistanceTable(("a", "b"), ((Fraction(0), huge), (huge, Fraction(0))))
+    with pytest.raises(InvalidEntry, match="= '1' is not a Fraction"):
+        DistanceTable(("a", "b"), ((Fraction(0), "1"), ("1", Fraction(0))))
+
+
 def test_table_shape_validation():
     with pytest.raises(ShapeMismatch):
         new_distance_table(["x", "y"], [[0, 1]])
@@ -305,6 +313,15 @@ def test_random_space_is_deterministic():
     a, _ = random_space(ClassTag.B_METRIC, 5, 123)
     b, _ = random_space(ClassTag.B_METRIC, 5, 123)
     c, _ = random_space(ClassTag.B_METRIC, 5, 124)
+    assert a.entries == b.entries
+    assert a.entries != c.entries
+
+
+def test_random_space_takes_seeds_past_the_int_str_limit():
+    seed = 10 ** 5000  # str(seed) raises at the default digit limit
+    a, _ = random_space(ClassTag.B_METRIC, 5, seed)
+    b, _ = random_space(ClassTag.B_METRIC, 5, seed)
+    c, _ = random_space(ClassTag.B_METRIC, 5, seed + 1)
     assert a.entries == b.entries
     assert a.entries != c.entries
 

@@ -10,6 +10,7 @@ from gmetrix import (
     BASIS_AMENABILITY,
     BASIS_EB_SUFFICIENT,
     BASIS_QUASI,
+    BASIS_TRIPLET_DIVERGENCE,
     BASIS_TRIPLET_SUFFICIENT,
     Budget,
     ClassTag,
@@ -222,6 +223,73 @@ def test_non_monotone_function_is_inconclusive_with_reason():
                              MembershipStatus.NON_MEMBER_EVIDENCE)
     if report.status is MembershipStatus.INCONCLUSIVE:
         assert "monotonicity" in report.note
+
+
+# The last rungs of the ladder need a function whose grid profile (on
+# [0, 20]) passes the screens while the triplet scan (entries up to 40)
+# sees something else.
+RUNG_BUDGET = Budget(triplet_samples=6000,
+                     grid=GridSpec(x_max=20.0, n_points=1200, seed=0), seed=0)
+#: vanishes on (30, 35): the scan's images hit 0 at a positive argument
+VANISHES_PAST_GRID = "piece(x <= 30 ? x : piece(x < 35 ? 0 : x))"
+#: jumps to 1e9 at exactly x = 30, a value only the scan's grid sweep holds
+SPIKE_PAST_GRID = "piece(x < 30 ? x : piece(x <= 30 ? 1000000000 : x))"
+#: bounded and decreasing past 1, with the same spike at 30
+DECREASING_SPIKE = ("piece(x < 30 ? piece(x <= 1 ? x : 1 + 1/x) : "
+                    "piece(x <= 30 ? 1000000000 : 1 + 1/x))")
+DECREASING = "piece(x <= 1 ? x : 1 + 1/x)"
+
+
+@pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.U])
+def test_an_infinite_image_constant_refutes_amenability(tag):
+    report = membership(parse_fn(VANISHES_PAST_GRID), tag, RUNG_BUDGET)
+    assert report.status is MembershipStatus.NON_MEMBER_EVIDENCE
+    assert report.basis == BASIS_AMENABILITY
+    assert report.witness.description == "f(32.0) = 0 although x > 0"
+    assert report.witness.data == {"x": 32.0, "triplet": (2.0, 32.0, 32.0),
+                                   "images": (2.0, 0.0, 0.0)}
+    assert report.note == "image triplet with an infinite relaxation constant"
+
+
+@pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.MB, ClassTag.U])
+def test_diverging_image_constants_refute_the_relaxed_classes(tag):
+    report = membership(parse_fn(SPIKE_PAST_GRID), tag, RUNG_BUDGET)
+    assert report.status is MembershipStatus.NON_MEMBER_EVIDENCE
+    assert report.basis == BASIS_TRIPLET_DIVERGENCE
+    assert report.witness.data["triplet"] == (2.0, 28.0, 30.0)
+    assert report.witness.data["images"] == (2.0, 28.0, 1e9)
+    assert report.witness.data["constant"] == 1e9 / 30.0
+    assert report.constants["s_star_triplet"] == 1e9 / 30.0
+    assert report.constants["triplet_samples_used"] == 6000
+    note = "no scalar bound can cover the sampled image triplets"
+    if tag is ClassTag.U:
+        note += ("; ultrametric preservation sits inside the relaxed "
+                 "classes, so the refutation transfers")
+    assert report.note == note
+
+
+def test_diverging_image_constants_leave_the_extended_class_open():
+    report = membership(parse_fn(DECREASING_SPIKE), ClassTag.EB, RUNG_BUDGET)
+    assert report.status is MembershipStatus.INCONCLUSIVE
+    assert report.basis is None
+    assert report.witness.data["triplet"] == (30.0, 40.0, 40.0)
+    assert report.witness.data["images"] == (1e9, 1.025, 1.025)
+    assert report.witness.data["constant"] == 1e9 / 2.05
+    assert report.note == (
+        "image triplet constants diverge for every scalar bound, but a "
+        "point-dependent bound table could still exist")
+
+
+@pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.EB, ClassTag.U,
+                                 ClassTag.DU])
+def test_unproven_premises_leave_membership_open(tag):
+    report = membership(parse_fn(DECREASING), tag, RUNG_BUDGET)
+    assert report.status is MembershipStatus.INCONCLUSIVE
+    assert report.basis is None
+    assert report.witness is None
+    assert report.constants["s_star_triplet"] == 1.0
+    assert report.note == ("sufficient premises not established on the grid "
+                           "(missing: monotonicity); no refutation found")
 
 
 def test_membership_rejects_undecidable_classes():

@@ -148,6 +148,15 @@ def test_emit_is_atomic_and_byte_stable(tmp_path):
     assert not (tmp_path / "region.svg.tmp").exists()
 
 
+def test_emit_removes_its_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "out.svg"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        emit_region_svg(CEIL, RegionSpec(a=1.0, b=1.0, n_max=3), target)
+    assert target.is_dir()
+    assert not (tmp_path / "out.svg.tmp").exists()
+
+
 def test_emit_rejects_before_writing(tmp_path):
     target = tmp_path / "region.svg"
     with pytest.raises(PlateauNotVerified):

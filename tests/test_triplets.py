@@ -27,7 +27,7 @@ from gmetrix.errors import (
     NotATriplet,
     PreconditionViolated,
 )
-from gmetrix.triplets import sample_tuples
+from gmetrix.triplets import mixed_tuples, sample_tuples
 
 
 def test_triplet_rejects_bad_entries():
@@ -146,6 +146,14 @@ def test_realize_round_trip(strategy):
         assert w.y >= 0.0
 
 
+def test_realize_a_side_that_vanishes_beside_the_largest():
+    # a / 2^exponent underflows to 0, where the law of cosines divides by it
+    a, b = 7.577708634473567e-264, 1.6069380442589903e+60
+    u, v, w = realize_in_plane(Triplet(a, b, b))
+    assert (u.as_tuple(), v.as_tuple()) == ((0.0, 0.0), (a, 0.0))
+    assert w.as_tuple() == (0.0, b)
+
+
 def test_grid_strategy_enumerates_exactly():
     got = {t.as_tuple() for t in sample_triplets(GridStrategy(step=1, max=3))}
     # 27 combinations over {1,2,3} minus the three orderings of (1,1,3)
@@ -199,6 +207,59 @@ def test_strategies_reject_non_finite_fields(bad):
                  lambda: BoundaryStrategy(seed=0, count=1, scale=bad)):
         with pytest.raises(PreconditionViolated, match="< inf"):
             make()
+
+
+@pytest.mark.parametrize("make", [RandomStrategy, BoundaryStrategy])
+@pytest.mark.parametrize("fields", [
+    {"count": 1, "scale": 1e308},  # 2 * scale overflows
+    {"count": 1, "scale": 0.0},
+    {"count": 1, "scale": -1.0},
+    {"count": -1},
+    {"count": 2.5},
+    {"count": 1.0},
+    {"count": "3"},
+])
+def test_seeded_strategies_reject_bad_fields_at_construction(make, fields):
+    with pytest.raises(PreconditionViolated):
+        make(seed=0, **fields)
+
+
+@pytest.mark.parametrize("make", [RandomStrategy, BoundaryStrategy])
+def test_largest_accepted_scale_draws_finite_sums(make):
+    scale = math.nextafter(math.inf, 0.0) / 2.0
+    got = list(sample_tuples(make(seed=5, count=2000, scale=scale)))
+    assert len(got) == 2000
+    assert all(math.isfinite(v) and v > 0.0 for t in got for v in t)
+
+
+def test_mixed_stream_is_the_grid_then_random_and_boundary_in_turn():
+    scale = 40.0
+    grid = list(sample_tuples(GridStrategy(step=scale / 20.0, max=scale)))
+    randoms = sample_tuples(RandomStrategy(seed=9, count=2000, scale=scale))
+    boundary = sample_tuples(BoundaryStrategy(seed=10, count=2000,
+                                              scale=scale / 2.0))
+    expected = grid + [t for pair in zip(randoms, boundary) for t in pair]
+    assert list(islice(mixed_tuples(9, scale), len(expected))) == expected
+
+
+def test_seeds_past_the_int_str_limit_still_draw():
+    seed = 10 ** 5000  # str(seed) raises at the default digit limit
+    for make in (RandomStrategy, BoundaryStrategy):
+        first = list(sample_tuples(make(seed=seed, count=20)))
+        assert first == list(sample_tuples(make(seed=seed, count=20)))
+        assert first != list(sample_tuples(make(seed=seed + 1, count=20)))
+    assert len(list(islice(mixed_tuples(seed, 40.0), 9000))) == 9000
+
+
+@pytest.mark.parametrize("value", [-10 ** 5000, Fraction(-10 ** 5000, 3)],
+                         ids=["int", "fraction"])
+def test_messages_print_values_past_the_int_str_limit(value):
+    with pytest.raises(PreconditionViolated, match="is negative"):
+        Triplet(value, 1, 1)
+    with pytest.raises(InvalidS, match="is below 1"):
+        is_s_triplet(Triplet(1, 1, 1), value)
+    with pytest.raises(InvalidTheta, match="is below 1"):
+        is_theta_triplet(Triplet(1, 1, 1), 1, value, 1)
 
 
 def uniform_random_triplets(seed, scale):
