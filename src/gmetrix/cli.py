@@ -6,6 +6,11 @@ Every subcommand writes canonical JSON to stdout (SVG goes to a file) and a
 short human summary to stderr. Exit codes: 0 holds/member, 1 fails or witness
 found, 2 inconclusive or undecidable input, 64 usage, 66 file problems, 70
 internal errors.
+
+Every argument, the expression included, is converted once by its argparse
+type, so a handler receives a parsed `RealFn`, `ClassTag` or number. One
+except ladder in `main` maps both a conversion's error and a handler's error
+to its exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cache
 
 from . import axioms
 from .classify import GridSpec, classify_fn
-from .dsl import eval_fn, parse_fn
+from .dsl import RealFn, eval_fn, parse_fn
 from .errors import (
     EvalError,
     GmetrixError,
@@ -163,6 +168,12 @@ def _function_class(text: str) -> ClassTag:
     return tag
 
 
+def _expression(text: str) -> RealFn:
+    # the module's parse_fn is looked up per call, so patching it reaches
+    # the cached parser too; its ParseError leaves parse_args for main
+    return parse_fn(text)
+
+
 # --- handlers ---------------------------------------------------------------------
 
 def _cmd_space_verify(args) -> int:
@@ -214,10 +225,9 @@ def _spec(kind, **fields):
 
 
 def _cmd_fn_classify(args) -> int:
-    f = parse_fn(args.expr)
     grid = _spec(GridSpec, x_max=args.x_max, n_points=args.points,
                  seed=args.seed)
-    profile = classify_fn(f, grid, plateau_b=args.plateau_b)
+    profile = classify_fn(args.expr, grid, plateau_b=args.plateau_b)
     _emit(profile.to_json())
     _say(f"amenable: {profile.amenable.status.value}, "
          f"increasing: {profile.increasing.status.value}, "
@@ -227,18 +237,16 @@ def _cmd_fn_classify(args) -> int:
 
 
 def _cmd_fn_eval(args) -> int:
-    f = parse_fn(args.expr)
-    value = eval_fn(f, args.at)
-    _emit({"source": f.source, "x": args.at, "value": value})
+    value = eval_fn(args.expr, args.at)
+    _emit({"source": args.expr.source, "x": args.at, "value": value})
     _say(f"f({args.at}) = {value}")
     return EXIT_HOLDS
 
 
 def _cmd_preserve(args) -> int:
-    f = parse_fn(args.expr)
     table, _theta = load_space(args.space)
-    verdict = preserve_check(f, table, args.target)
-    _emit({"source": f.source, "target": args.target.value,
+    verdict = preserve_check(args.expr, table, args.target)
+    _emit({"source": args.expr.source, "target": args.target.value,
            "verdict": verdict.to_json()})
     _say(f"{args.target.value}: {verdict.status.value}")
     return _STATUS_EXIT[verdict.status]
@@ -252,8 +260,7 @@ def _budget_from(args) -> Budget:
 
 
 def _cmd_member(args) -> int:
-    f = parse_fn(args.expr)
-    report = membership(f, args.klass, _budget_from(args))
+    report = membership(args.expr, args.klass, _budget_from(args))
     _emit(report.to_json())
     basis = f" via {report.basis}" if report.basis else ""
     _say(f"{args.klass.value}: {report.status.value}{basis}")
@@ -261,11 +268,10 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    f = parse_fn(args.expr)
     budget = _budget_from(args)
-    witness = counterexample_search(f, args.klass, budget)
+    witness = counterexample_search(args.expr, args.klass, budget)
     doc = {
-        "source": f.source,
+        "source": args.expr.source,
         "class": args.klass.value,
         "budget": budget.to_json(),
         "witness": None if witness is None else witness.to_json(),
@@ -287,18 +293,17 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    f = parse_fn(args.expr)
     spec = _spec(RegionSpec, a=args.a, b=args.b, n_max=args.n,
                  samples_per_interval=args.samples)
     if args.region_command == "plot":
         _spec(spec.plot_steps)
-        report = emit_region_svg(f, spec, args.out)
+        report = emit_region_svg(args.expr, spec, args.out)
         doc = report.to_json()
         doc["svg"] = args.out
         _emit(doc)
         _say(f"wrote {args.out}")
     else:
-        report = region_check(f, spec)
+        report = region_check(args.expr, spec)
         _emit(report.to_json())
         _say(f"{sum(1 for i in report.intervals if i.verdict.holds)}"
              f"/{len(report.intervals)} intervals hold")
@@ -318,21 +323,6 @@ def _cmd_realize(args) -> int:
 
 
 # --- parser ----------------------------------------------------------------------
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=_positive_int, default=100_000,
-                        help="triangle triplet budget (default 100000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
-    parser.add_argument("--x-max", dest="x_max", type=_positive_float,
-                        default=20.0, help="grid upper end (default 20)")
-    parser.add_argument("--points", type=_positive_int, default=10_000,
-                        help="grid point count (default 10000)")
-    parser.add_argument("--grid-seed", dest="grid_seed", type=int, default=1,
-                        help="grid sampling seed (default 1)")
-    parser.add_argument("--scale", type=_positive_float, default=None,
-                        help="triplet entry scale (default 2 * x-max)")
-
 
 @cache  # built once per process; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     fn = sub.add_parser("fn", help="classify or evaluate an expression")
     fn_sub = fn.add_subparsers(dest="fn_command", required=True)
     fc = fn_sub.add_parser("classify", help="profile an expression on a grid")
-    fc.add_argument("expr")
+    fc.add_argument("expr", type=_expression)
     fc.add_argument("--x-max", dest="x_max", type=_positive_float,
                     default=20.0)
     fc.add_argument("--points", type=_positive_int, default=2000)
@@ -369,30 +359,37 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None, help="verify a plateau on (0, b]")
     fc.set_defaults(handler=_cmd_fn_classify)
     fe = fn_sub.add_parser("eval", help="evaluate an expression at a point")
-    fe.add_argument("expr")
+    fe.add_argument("expr", type=_expression)
     fe.add_argument("--at", type=_nonneg_float, required=True)
     fe.set_defaults(handler=_cmd_fn_eval)
 
     pres = sub.add_parser("preserve",
                           help="check one function against one space")
-    pres.add_argument("expr")
+    pres.add_argument("expr", type=_expression)
     pres.add_argument("--space", required=True, help="space JSON file")
     pres.add_argument("--target", type=_space_tag, required=True)
     pres.set_defaults(handler=_cmd_preserve)
 
-    mem = sub.add_parser("member", help="decide class membership")
-    mem.add_argument("expr")
-    mem.add_argument("--class", dest="klass", type=_function_class,
-                     required=True)
-    _add_budget_flags(mem)
-    mem.set_defaults(handler=_cmd_member)
-
-    sea = sub.add_parser("search", help="search for a counterexample triplet")
-    sea.add_argument("expr")
-    sea.add_argument("--class", dest="klass", type=_function_class,
-                     required=True)
-    _add_budget_flags(sea)
-    sea.set_defaults(handler=_cmd_search)
+    for name, handler, text in (
+            ("member", _cmd_member, "decide class membership"),
+            ("search", _cmd_search, "search for a counterexample triplet")):
+        ms = sub.add_parser(name, help=text)
+        ms.add_argument("expr", type=_expression)
+        ms.add_argument("--class", dest="klass", type=_function_class,
+                        required=True)
+        ms.add_argument("--samples", type=_positive_int, default=100_000,
+                        help="triangle triplet budget (default 100000)")
+        ms.add_argument("--seed", type=int, default=0,
+                        help="sampling seed (default 0)")
+        ms.add_argument("--x-max", dest="x_max", type=_positive_float,
+                        default=20.0, help="grid upper end (default 20)")
+        ms.add_argument("--points", type=_positive_int, default=10_000,
+                        help="grid point count (default 10000)")
+        ms.add_argument("--grid-seed", dest="grid_seed", type=int, default=1,
+                        help="grid sampling seed (default 1)")
+        ms.add_argument("--scale", type=_positive_float, default=None,
+                        help="triplet entry scale (default 2 * x-max)")
+        ms.set_defaults(handler=handler)
 
     suite = sub.add_parser("suite", help="run the cross-checking suite")
     suite.add_argument("--seed", type=int, default=0)
@@ -402,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     region_sub = region.add_subparsers(dest="region_command", required=True)
     for name in ("check", "plot"):
         rp = region_sub.add_parser(name)
-        rp.add_argument("expr")
+        rp.add_argument("expr", type=_expression)
         rp.add_argument("--a", type=_positive_float, required=True,
                         help="plateau value")
         rp.add_argument("--b", type=_positive_float, required=True,
@@ -427,13 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # one ladder for both stages: an error while parsing (a bad flag, an
+    # expression's ParseError, an unknown tag) maps as a handler's would
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        _say(f"usage error: {err}")
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ParseError as err:
         _say(f"expression error: {err}")

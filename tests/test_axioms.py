@@ -1,5 +1,6 @@
 """Axiom checks and optimal relaxation constants against brute-force oracles."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from gmetrix import (
     ClassTag,
+    canonical_dumps,
     check_extended_b,
     check_identity,
     check_triangle,
@@ -18,6 +20,7 @@ from gmetrix import (
     new_theta_table,
     optimal_b_constant,
     optimal_weak_ultra_constant,
+    random_space,
     verify_as,
 )
 from gmetrix.axioms import metric_closure
@@ -245,6 +248,38 @@ def test_verify_as_with_explicit_theta():
     stingy = constant_theta(list(table.points), 2)
     assert verify_as(table, ClassTag.EXTENDED_B_METRIC, theta=generous).holds
     assert verify_as(table, ClassTag.EXTENDED_B_METRIC, theta=stingy).fails
+
+
+SPACE_KINDS = [tag for tag in ClassTag if tag.is_space]
+
+
+def _agreement_tables():
+    """Generated spaces of every kind, then small random tables whose
+    off-diagonal entries are often 0, so that some fail the identity axiom."""
+    for kind in SPACE_KINDS:
+        for n in (2, 3, 6):
+            for seed in range(4):
+                yield random_space(kind, n, seed)[0]
+    rng = random.Random("verify-as-agreement")
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        entries = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                entries[i][j] = entries[j][i] = Fraction(
+                    rng.choice([0, 0, 1, 2, 3, 5, 8]), rng.randint(1, 3))
+        yield table_from(entries)
+
+
+def test_verify_as_agrees_with_classify_space():
+    # `space verify --class k` answers with verify_as and `space verify`
+    # with classify_space; each kind's verdict must be the same document
+    for table in _agreement_tables():
+        rows = classify_space(table)
+        for kind in SPACE_KINDS:
+            assert canonical_dumps(rows[kind].to_json()) == \
+                canonical_dumps(verify_as(table, kind).to_json()), \
+                (table.entries, kind)
 
 
 def test_check_extended_b_point_set_mismatch():

@@ -212,12 +212,29 @@ def test_hostile_expression_is_a_usage_error(capsys, source):
     assert "expression error" in err and "line 1, column" in err
 
 
+def test_piece_condition_must_compare_x(capsys):
+    code, _, err = run(capsys, "fn", "classify", "piece(x + 1 ? 1 : 2)")
+    assert code == 64
+    assert err == ("expression error: unexpected '+' at line 1, column 9 "
+                   "(expected '<', '<=')\n")
+
+
 def test_fn_classify(capsys):
     code, doc, _ = run(capsys, "fn", "classify", "sqrt(x)",
                        "--x-max", "10", "--points", "500")
     assert code == 0
     assert doc["subadditive"]["status"] == "holds"
     assert doc["grid"] == {"x_max": 10.0, "n_points": 500, "seed": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["x", "--x-max", "0.000000001"],  # fewer than four tail samples
+    ["piece(x < 0.00000003 ? 1 : 0.5)"],  # the tail neither vanishes nor holds
+], ids=["short-tail", "unsteady-tail"])
+def test_fn_classify_without_a_limit_at_zero(capsys, argv):
+    code, doc, _ = run(capsys, "fn", "classify", *argv)
+    assert code == 0
+    assert doc["limit_at_zero"] is None
 
 
 def test_space_random_then_verify(capsys, tmp_path):
@@ -308,6 +325,23 @@ def test_space_verify_undecodable_document_is_a_file_error(capsys, tmp_path,
     code, _, err = run(capsys, "space", "verify", str(path))
     assert code == 66
     assert "file error: invalid JSON" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"points": ["x", "y"], "entries": 5}', '"entries" must be a list of rows'),
+    ('{"points": ["x", "y"], "entries": [[0, 1], [1, 0]], "theta": 3}',
+     '"theta" must be a list of rows'),
+    ('{"points": [], "entries": []}', "at least one point is required"),
+], ids=["entries-not-rows", "theta-not-rows", "no-points"])
+def test_space_verify_document_without_rows_is_a_file_error(capsys, tmp_path,
+                                                            text, message):
+    path = tmp_path / "space.json"
+    path.write_text(text, encoding="utf-8")
+    for kind in ([], ["--class", "metric"]):
+        code, doc, err = run(capsys, "space", "verify", str(path), *kind)
+        assert code == 66
+        assert doc is None
+        assert err == f"file error: {message}\n"
 
 
 def test_space_verify_identity_violator_exits_one(capsys, tmp_path):
@@ -493,6 +527,60 @@ def test_member_rejects_unsupported_classes(capsys):
     assert "usage error" in err
     code, _, _ = run(capsys, "member", "x", "--class", "metric")
     assert code == 64
+
+
+def test_search_rejects_unsupported_classes(capsys):
+    code, doc, err = run(capsys, "search", "x", "--class", "M")
+    assert code == 64
+    assert doc is None
+    assert err.startswith("usage error: search for 'M' is not supported")
+
+
+# a metric document for the commands that read one, written where "DOC" is
+_METRIC_DOC = ('{"points": ["x", "y", "z"], '
+               '"entries": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}')
+
+
+def _with_document(tmp_path, argv):
+    path = tmp_path / "space.json"
+    path.write_text(_METRIC_DOC, encoding="utf-8")
+    return [str(path) if arg == "DOC" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "x", "--class", "foo"],
+    ["search", "x", "--class", "foo"],
+    ["space", "verify", "DOC", "--class", "foo"],
+    ["space", "random", "--kind", "foo", "-n", "3", "--seed", "1"],
+    ["preserve", "x", "--space", "DOC", "--target", "foo"],
+], ids=["member", "search", "space-verify", "space-random", "preserve"])
+def test_unknown_class_tag_is_a_usage_error(capsys, tmp_path, argv):
+    # the tag is read while the flags are parsed, and its error takes the
+    # usage exit like any other bad flag rather than escaping main
+    code, doc, err = run(capsys, *_with_document(tmp_path, argv))
+    assert code == 64
+    assert doc is None
+    assert err == "usage error: unknown class tag 'foo'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["member", "x", "--class", "metric"],
+     "--class: 'metric' names a space kind, not a function class"),
+    (["search", "x", "--class", "b-metric"],
+     "--class: 'b-metric' names a space kind, not a function class"),
+    (["space", "verify", "DOC", "--class", "EB"],
+     "--class: 'EB' names a function class, not a space kind"),
+    (["space", "random", "--kind", "MB", "-n", "3", "--seed", "1"],
+     "--kind: 'MB' names a function class, not a space kind"),
+    (["preserve", "x", "--space", "DOC", "--target", "B"],
+     "--target: 'B' names a function class, not a space kind"),
+], ids=["member", "search", "space-verify", "space-random", "preserve"])
+def test_tag_of_the_other_family_is_a_usage_error(capsys, tmp_path, argv,
+                                                  message):
+    code, doc, err = run(capsys, *_with_document(tmp_path, argv))
+    assert code == 64
+    assert doc is None
+    assert err == f"usage error: argument {message}\n"
 
 
 def test_search_witness_and_absence(capsys):

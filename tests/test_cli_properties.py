@@ -116,10 +116,30 @@ def _documents(draw):
     return json.dumps(doc)
 
 
-_KINDS = st.sampled_from(["metric", "ultrametric", "weak-ultrametric",
-                          "b-metric", "extended-b-metric"])
-_EXPRESSIONS = st.sampled_from(["x", "min(x, 1)", "x^2", "sqrt(x)",
-                                "ceil(x)", "x/(1+x)", "1"])
+_SPACE_KINDS = ["metric", "ultrametric", "weak-ultrametric", "b-metric",
+                "extended-b-metric"]
+_FUNCTION_CLASSES = ["U", "DU", "B", "MB", "EB"]
+
+#: tags a flag may be given besides its own family's: the other family's,
+#: M and BM (which no command decides), case and space variants, any text
+_ANY_TAG = st.one_of(
+    st.sampled_from(_SPACE_KINDS + _FUNCTION_CLASSES + ["M", "BM"]),
+    st.tuples(st.sampled_from(_SPACE_KINDS + _FUNCTION_CLASSES),
+              st.sampled_from([str.upper, str.lower, str.title]),
+              st.sampled_from(["", " ", "\t"])).map(
+        lambda v: v[2] + v[1](v[0]) + v[2]),
+    st.text(max_size=20),
+)
+_KINDS = st.one_of(st.sampled_from(_SPACE_KINDS),
+                   st.sampled_from(_SPACE_KINDS), _ANY_TAG)
+_CLASSES = st.one_of(st.sampled_from(_FUNCTION_CLASSES),
+                     st.sampled_from(_FUNCTION_CLASSES), _ANY_TAG)
+
+_PARSED = st.sampled_from(["x", "min(x, 1)", "x^2", "sqrt(x)", "ceil(x)",
+                           "x/(1+x)", "1"])
+#: expressions mostly parse; the rest fail while the arguments are parsed
+_EXPRESSIONS = st.one_of(_PARSED, _PARSED, _PARSED, st.sampled_from(
+    ["x^", "foo(x)", "piece(x + 1 ? 1 : 2)", ""]))
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +237,7 @@ def _commands(draw):
     if command == "fn-eval":
         return ["fn", "eval", draw(_EXPRESSIONS), f"--at={draw(_NUMBERS)}"]
     if command in ("member", "search"):
-        return [command, draw(_EXPRESSIONS), "--class",
-                draw(st.sampled_from(["U", "DU", "B", "MB", "EB"])),
+        return [command, draw(_EXPRESSIONS), "--class", draw(_CLASSES),
                 f"--samples={draw(st.one_of(_SMALL_COUNTS, _PAST_SWEEP))}",
                 f"--points={draw(_SMALL_COUNTS)}",
                 *draw(_flag_lists(_SCAN))]
