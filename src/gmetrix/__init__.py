@@ -29,7 +29,7 @@ from .classify import (
     sample_points,
     verify_plateau,
 )
-from .dsl import RealFn, eval_exact, eval_fn, exact_capable, parse_fn
+from .dsl import RealFn, eval_exact, eval_fn, parse_fn
 from .errors import (
     DomainError,
     EvalError,

@@ -20,14 +20,14 @@ exponent, function argument, piece branch and further operator of a "+-" or
 "*/" chain puts its operand one deeper. A literal must fit a float. Parse
 errors report 1-based line/column and what was expected.
 
-Evaluation is in floats. An argument outside [0, inf), NaN and +inf
-included, raises DomainError. Intermediate values may leave [0, inf) (e.g.
-the "-1" inside "exp(x)-1"); only the final value must be nonnegative. A sqrt
-of a negative intermediate, log1p at or below -1, a division by zero, or a
-negative base under "^" raises DomainError; overflow, inf, or NaN raises
-NonFinite (also floor, ceil, min, max or "^" of an intermediate NaN, so no
-comparison or power drops a NaN); a negative final value raises
-OutOfCodomain.
+Evaluation is in floats (but see the rational run below). An argument
+outside [0, inf), NaN and +inf included, raises DomainError. Intermediate
+values may leave [0, inf) (e.g. the "-1" inside "exp(x)-1"); only the final
+value must be nonnegative. A sqrt of a negative intermediate, log1p at or
+below -1, a division by zero, or a negative base under "^" raises
+DomainError; overflow, inf, or NaN raises NonFinite (also floor, ceil, min,
+max or "^" of an intermediate NaN, so no comparison or power drops a NaN); a
+negative final value raises OutOfCodomain.
 
 Each RealFn has three generated functions from one checked body: the
 straight-line code computing f(x) with one assignment per tree node and
@@ -48,12 +48,15 @@ check is written once. Each function is compiled on its first use:
   reads f(a) and f(b) from the profile's point values and keeps both
   subadditivity views of classify_fn, all in one frame.
 
-The generated text is built from fixed names, repr(float) literals and the
-grammar's operators only, never from the expression's own text.
+The same emitter writes a rational `run(xs)` (`RealFn.exact_runner`,
+eval_exact): x, literals, thresholds and every value are Fractions, with the
+checks a rational can fail. Trees with sqrt, exp, log1p or "^" have none;
+table pushforwards use it when there is one. Both runs compile once per
+distinct tree, in a bounded cache.
 
-Expressions built only from "+", "*", "min", "max", literals, and "x" also
-evaluate exactly over rationals (see exact_capable / eval_exact); table
-pushforwards use that path whenever it applies.
+The generated text is built from fixed names, repr(float) literals or names
+bound to Fractions, and the grammar's operators only, never from the
+expression's own text.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
@@ -353,12 +356,14 @@ def _reject(x: float, value: float) -> None:
 
 
 # The emitted text holds fixed names only: x, v0, v1, ... for the node
-# values, the scan's and the pair loop's own locals, and the names bound
-# here; no other builtin is reachable.
+# values, c0, c1, ... for a rational run's literals, the scan's and the pair
+# loop's own locals, and the names bound here; no other builtin is reachable.
 _NAMESPACE = {
     "__builtins__": {"abs": abs, "float": float, "OverflowError": OverflowError},
     "DomainError": DomainError,
     "NonFinite": NonFinite,
+    "OutOfCodomain": OutOfCodomain,
+    "_Fraction": Fraction,
     "_reject": _reject,
     "_inf": math.inf,
     "_sqrt": math.sqrt,
@@ -372,15 +377,28 @@ _COMPARISON = {"<": "<", "<=": "<="}
 _CALLS = {"sqrt": "_sqrt({})", "exp": "_exp({})", "log1p": "_log1p({})",
           "abs": "abs({})", "floor": "float(_floor({}))",
           "ceil": "float(_ceil({}))"}
+_EXACT_CALLS = {"abs": "abs({})", "floor": "_Fraction(_floor({}))",
+                "ceil": "_Fraction(_ceil({}))"}
 _LARGEST = repr(sys.float_info.max)
 
 
 class _Emitter:
-    """Statements computing a tree's nodes, one assignment per node."""
+    """Statements computing a tree's nodes, one assignment per node, in
+    floats or in Fractions, whose literals are bound as names."""
 
-    def __init__(self) -> None:
+    def __init__(self, exact: bool = False) -> None:
         self.lines: list[str] = []
         self.count = 0
+        self.exact = exact
+        self.zero = "0" if exact else "0.0"  # 0.0 costs Fraction.from_float
+        self.constants: dict[str, Fraction] = {}
+
+    def literal(self, value: Fraction) -> str:
+        if not self.exact:
+            return repr(float(value))
+        name = f"c{len(self.constants)}"
+        self.constants[name] = value
+        return name
 
     def fresh(self) -> str:
         self.count += 1
@@ -397,7 +415,7 @@ class _Emitter:
     def value(self, node: Node, pad: str) -> str:
         """Emit the statements computing node; return the operand naming it."""
         if isinstance(node, Lit):
-            return repr(float(node.value))
+            return self.literal(node.value)
         if isinstance(node, Var):
             return "x"
         if isinstance(node, Neg):
@@ -405,7 +423,7 @@ class _Emitter:
         if isinstance(node, Bin) and node.op == "/":
             # the denominator first: its zero test precedes the numerator
             right = self.value(node.right, pad)
-            self.guard(pad, f"{right} == 0.0",
+            self.guard(pad, f"{right} == {self.zero}",
                        "DomainError(x, 'division by zero')")
             return self.assign(pad, f"{self.value(node.left, pad)} / {right}")
         if isinstance(node, Bin):
@@ -413,6 +431,8 @@ class _Emitter:
             if node.op != "^":
                 return self.assign(pad,
                                    f"{left} {_ARITHMETIC[node.op]} {right}")
+            if self.exact:
+                raise PreconditionViolated("'^' has no rational run")
             self.guard(pad, f"{left} < 0.0", "DomainError(x, "
                        f"f\"negative base {{{left}!r}} under '^'\")")
             self.guard(pad, f"{left} == 0.0 and {right} < 0.0",
@@ -427,7 +447,7 @@ class _Emitter:
             out = self.fresh()
             inner = pad + "    "
             self.lines.append(f"{pad}if x {_COMPARISON[node.op]} "
-                              f"{float(node.threshold)!r}:")
+                              f"{self.literal(node.threshold)}:")
             self.lines.append(f"{inner}{out} = {self.value(node.then, inner)}")
             self.lines.append(f"{pad}else:")
             self.lines.append(f"{inner}{out} = {self.value(node.other, inner)}")
@@ -444,52 +464,59 @@ class _Emitter:
             out = self.assign(pad, first)
             self.lines.extend(f"{pad}if {a} {relation} {out}: {out} = {a}"
                               for a in args[1:])
-            self.guard(pad, " or ".join(f"{a} != {a}" for a in args),
-                       "NonFinite(x, 'NaN during evaluation')")
+            if not self.exact:  # a Fraction is never NaN
+                self.guard(pad, " or ".join(f"{a} != {a}" for a in args),
+                           "NonFinite(x, 'NaN during evaluation')")
             return out
+        calls = _EXACT_CALLS if self.exact else _CALLS
+        if name not in calls:  # sqrt, exp and log1p in Fractions
+            raise PreconditionViolated(f"{name} has no rational run")
         if name == "sqrt":
             self.guard(pad, f"{first} < 0.0", "DomainError("
                        f"x, f'sqrt of negative value {{{first}!r}}')")
         elif name == "log1p":
             self.guard(pad, f"{first} <= -1.0", "DomainError("
                        f"x, f'log1p at {{{first}!r}} (needs > -1)')")
-        elif name in ("floor", "ceil"):
+        elif name in ("floor", "ceil") and not self.exact:
             self.guard(pad, f"{first} != {first}",
                        "NonFinite(x, 'NaN during evaluation')")
-        return self.assign(pad, _CALLS[name].format(first))
+        return self.assign(pad, calls[name].format(first))
 
 
-def _checked(ast: Node) -> tuple[str, str]:
+def _checked(ast: Node, emitter: _Emitter) -> tuple[str, str]:
     """Loop-body statements computing f(x) with every guard, and the
     operand naming f(x): the argument check, the tree's own guards,
-    OverflowError as NonFinite, and the final-range check. `run`, `scan` and
-    `pairs` all evaluate through these.
+    OverflowError as NonFinite, and the final-range check, which in
+    Fractions tests the sign alone (float() of a huge one overflows). `run`,
+    `scan` and `pairs` all evaluate through these.
 
     One assignment per node, so the compiler meets no nesting deeper than
-    the eight piece branches. Literals enter as repr(float); operators and
-    function names are looked up in fixed tables, so no text of the
-    expression reaches the source. Every guard is emitted, also on a
+    the eight piece branches. Literals enter as repr(float) or bound names;
+    operators and function names are looked up in fixed tables, so no text
+    of the expression reaches the source. Every guard is emitted, also on a
     literal operand, so a literal whose float underflows to 0 still meets
     the division-by-zero check.
     """
-    emitter = _Emitter()
     result = emitter.value(ast, " " * 12)
     body = "\n".join(emitter.lines) or " " * 12 + "pass"
+    bound, reject = (("", "raise OutOfCodomain") if emitter.exact
+                     else (f" <= {_LARGEST}", "_reject"))
     return f"""\
-        if not 0.0 <= x <= {_LARGEST}:
+        if not {emitter.zero} <= x{bound}:
             raise DomainError(x, "argument outside [0, inf)")
         try:
 {body}
         except OverflowError:
             raise NonFinite(x, "overflow during evaluation") from None
-        if not 0.0 <= {result} <= {_LARGEST}:
-            _reject(x, {result})
+        if not {emitter.zero} <= {result}{bound}:
+            {reject}(x, {result})
 """, result
 
 
-def _emit_source(ast: Node) -> str:
-    """Python source of the generator `run(xs)` for one tree."""
-    check, fx = _checked(ast)
+def _emit_source(ast: Node, emitter: _Emitter | None = None) -> str:
+    """Python source of the generator `run(xs)` for one tree, in the
+    emitter's domain (floats by default)."""
+    check, fx = _checked(ast, emitter or _Emitter())
     return f"""\
 def run(xs):
     for x in xs:
@@ -520,7 +547,7 @@ def _emit_scan(ast: Node) -> str:
     (used, sup, sup_top, sup_below, best, infinite); best and infinite are
     (sample, images) or None.
     """
-    check, fx = _checked(ast)
+    check, fx = _checked(ast, _Emitter())
     return f"""\
 def scan(samples, split):
     sup = sup_top = sup_below = 0.0
@@ -570,7 +597,7 @@ def _emit_pairs(ast: Node) -> str:
     each maximum, or None. After the final-range check f(a + b) >= 0, so
     max(1, |f(a + b)|) is one comparison.
     """
-    check, fx = _checked(ast)
+    check, fx = _checked(ast, _Emitter())
     return f"""\
 def pairs(schedule, value_at, split, tol):
     max_defect = -_inf
@@ -604,10 +631,20 @@ def pairs(schedule, value_at, split, tol):
 """
 
 
-def _compile(source: str, name: str):
-    namespace = dict(_NAMESPACE)
+def _compile(source: str, name: str, constants: dict | None = None):
+    namespace = {**_NAMESPACE, **(constants or {})}
     exec(compile(source, "<gmetrix expression>", "exec"), namespace)
     return namespace.pop(name)  # no cycle through its own globals
+
+
+@lru_cache(maxsize=64)
+def _run(ast: Node, exact: bool):
+    """`run(xs)` of a tree in one domain; None where no rational run exists."""
+    emitter = _Emitter(exact)
+    try:  # the emitter's constants are complete once its source is
+        return _compile(_emit_source(ast, emitter), "run", emitter.constants)
+    except PreconditionViolated:
+        return None
 
 
 @dataclass(frozen=True)
@@ -623,7 +660,12 @@ class RealFn:
         pulls each float x only when its value is asked for and yields f(x),
         with every check of eval_fn. When an x fails, the values before it
         have been yielded and the error names that x."""
-        return _compile(_emit_source(self.ast), "run")
+        return _run(self.ast, False)
+
+    @cached_property
+    def exact_runner(self) -> Callable[..., Iterator[Fraction]] | None:
+        """`run(xs)` over Fractions; None for sqrt, exp, log1p or "^"."""
+        return _run(self.ast, True)
 
     @cached_property
     def scanner(self) -> Callable[[Iterable[tuple[float, float, float]], float],
@@ -670,30 +712,10 @@ def eval_fn(fn: RealFn, x) -> float:
     return next(fn.runner((float(x),)))
 
 
-# --- exact fragment -------------------------------------------------------------------
-
-def exact_capable(node: Node) -> bool:
-    """True when the tree uses only +, *, min, max, literals, and x."""
-    if isinstance(node, (Lit, Var)):
-        return True
-    if isinstance(node, Bin):
-        return node.op in "+*" and exact_capable(node.left) and exact_capable(node.right)
-    if isinstance(node, Call):
-        return node.name in _VARIADIC_FNS and all(exact_capable(a)
-                                                  for a in node.args)
-    return False
-
-
 def eval_exact(node: Node, x: Fraction) -> Fraction:
-    """Exact rational evaluation of an exact-capable tree."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Bin) and node.op in "+*":
-        left, right = eval_exact(node.left, x), eval_exact(node.right, x)
-        return left + right if node.op == "+" else left * right
-    if isinstance(node, Call) and node.name in _VARIADIC_FNS:
-        values = [eval_exact(a, x) for a in node.args]
-        return min(values) if node.name == "min" else max(values)
-    raise PreconditionViolated(f"{node!r} is outside the exact fragment")
+    """Exact f(x) at a rational x through the tree's rational run;
+    PreconditionViolated for a tree that has none."""
+    run = _run(node, True)
+    if run is None:
+        raise PreconditionViolated(f"{node!r} has no rational run")
+    return next(run((x,)))

@@ -141,7 +141,7 @@ class EvalError(GmetrixError):
     def __init__(self, x, detail: str) -> None:
         self.x = x
         self.detail = detail
-        super().__init__(f"{detail} (at x = {x!r})")
+        super().__init__(f"{detail} (at x = {exact_repr(x)})")
 
 
 class DomainError(EvalError):
@@ -153,7 +153,7 @@ class OutOfCodomain(EvalError):
 
     def __init__(self, x, value) -> None:
         self.value = value
-        super().__init__(x, f"value {value!r} is negative")
+        super().__init__(x, f"value {exact_repr(value)} is negative")
 
 
 class NonFinite(EvalError):

@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 
 from . import axioms
 from .classify import GridSpec, classify_fn, diverged
-from .dsl import RealFn, eval_exact, exact_capable, parse_fn
+from .dsl import RealFn, parse_fn
 from .errors import (
     NonFinite,
     NonzeroDiagonal,
@@ -85,19 +85,17 @@ def _entry_floats(values):
 def pushforward(f: RealFn, table: DistanceTable) -> DistanceTable:
     """Apply f entrywise; exact when the expression allows it.
 
-    Expressions in the exact fragment (+, *, min, max, literals, x) are
-    evaluated over rationals, so e.g. the identity expression reproduces the
-    table bit for bit. Everything else evaluates the distinct entries in
-    floats, in row-major order, and converts the results exactly; the first
-    entry that fails, or lies beyond the float range (NonFinite), raises. A
-    nonzero f(0) surfaces as the constructor's NonzeroDiagonal, since the
-    image of the diagonal must stay zero.
+    Without sqrt, exp, log1p or "^" it runs over rationals
+    (`RealFn.exact_runner`), so "abs(x)" reproduces the table bit for bit;
+    otherwise in floats converted exactly, where an entry past the float
+    range raises NonFinite. Distinct entries run in row-major order; the
+    first failing one raises, and a nonzero f(0) surfaces as the
+    constructor's NonzeroDiagonal, since the diagonal's image must stay 0.
     """
     distinct = list(dict.fromkeys(chain.from_iterable(table.entries)))
-    if exact_capable(f.ast):
-        images = [eval_exact(f.ast, value) for value in distinct]
-    else:
-        images = map(Fraction, f.runner(_entry_floats(distinct)))
+    run = f.exact_runner
+    images = (run(distinct) if run is not None
+              else map(Fraction, f.runner(_entry_floats(distinct))))
     image_of = dict(zip(distinct, images))
     rows = tuple(tuple(map(image_of.__getitem__, row))
                  for row in table.entries)

@@ -4,7 +4,8 @@ Everything here is coded directly from the definitions over plain lists of
 Fractions, on purpose ignoring the package's own implementations, so that a
 shared bug would have to be written twice to go unnoticed. The expression
 interpreter reads the parser's tree and raises the package's error types,
-but never goes through its generated evaluator.
+but never goes through its generated evaluator; its exact twin walks the
+same tree in Fractions.
 """
 
 from fractions import Fraction
@@ -248,3 +249,70 @@ def _walk(node, x):
         return float(math.floor(value))
     assert node.name == "ceil", node
     return float(math.ceil(value))
+
+
+def is_rational_tree(ast):
+    """True when no sqrt, exp, log1p or "^" occurs in the tree, so that a
+    rational argument has a rational value."""
+    if isinstance(ast, (Lit, Var)):
+        return True
+    if isinstance(ast, Neg):
+        return is_rational_tree(ast.operand)
+    if isinstance(ast, Piece):
+        return is_rational_tree(ast.then) and is_rational_tree(ast.other)
+    if isinstance(ast, Bin):
+        return (ast.op != "^" and is_rational_tree(ast.left)
+                and is_rational_tree(ast.right))
+    return (ast.name not in ("sqrt", "exp", "log1p")
+            and all(is_rational_tree(arg) for arg in ast.args))
+
+
+def reference_exact(ast, x):
+    """f(x) for a rational tree at a Fraction x by a plain recursive walk in
+    Fractions: the exact twin of reference_eval. x must be nonnegative; a
+    division by zero is a domain error, a negative result is out of the
+    codomain, and nothing is ever non-finite."""
+    if x < 0:
+        raise DomainError(x, "argument outside [0, inf)")
+    value = _walk_exact(ast, x)
+    if value < 0:
+        raise OutOfCodomain(x, value)
+    return value
+
+
+def _walk_exact(node, x):
+    if isinstance(node, Lit):
+        return Fraction(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_walk_exact(node.operand, x)
+    if isinstance(node, Piece):
+        taken = x < node.threshold if node.op == "<" else x <= node.threshold
+        return _walk_exact(node.then if taken else node.other, x)
+    if isinstance(node, Bin) and node.op == "/":
+        right = _walk_exact(node.right, x)  # a zero denominator stops first
+        if right == 0:
+            raise DomainError(x, "division by zero")
+        return _walk_exact(node.left, x) / right
+    if isinstance(node, Bin):
+        left, right = _walk_exact(node.left, x), _walk_exact(node.right, x)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        assert node.op == "*", node
+        return left * right
+    assert isinstance(node, Call), node
+    values = [_walk_exact(arg, x) for arg in node.args]
+    if node.name == "min":
+        return min(values)
+    if node.name == "max":
+        return max(values)
+    value = values[0]
+    if node.name == "abs":
+        return -value if value < 0 else value
+    if node.name == "floor":
+        return Fraction(math.floor(value))
+    assert node.name == "ceil", node
+    return Fraction(math.ceil(value))

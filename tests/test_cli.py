@@ -420,6 +420,35 @@ def test_preserve_float_path_rejects_an_entry_past_float_range(capsys,
     assert "undecidable input: table entry outside the float range" in err
 
 
+def test_preserve_rational_run_keeps_a_collinear_metric(capsys, tmp_path):
+    path = tmp_path / "collinear.json"
+    path.write_text('{"points": ["x", "y", "z"], "entries": '
+                    '[[0, "295147/134653", "20133423508/6615636543"], '
+                    '["295147/134653", 0, "794773/933489"], '
+                    '["20133423508/6615636543", "794773/933489", 0]]}',
+                    encoding="utf-8")
+    code, doc, _ = run(capsys, "preserve", "abs(x)", "--space", str(path),
+                       "--target", "metric")
+    assert (code, doc["verdict"]["status"]) == (0, "holds")
+
+
+def test_preserve_rational_run_names_huge_values_exactly(capsys, tmp_path):
+    # 1e4000 fits no float, and -1e8000 has more digits than str() may write
+    path = tmp_path / "huge.json"
+    path.write_text('{"points": ["x", "y"], '
+                    '"entries": [[0, "1e4000"], ["1e4000", 0]]}',
+                    encoding="utf-8")
+    code, doc, err = run(capsys, "preserve", "x*x - 2*x*x", "--space",
+                         str(path), "--target", "b-metric")
+    assert (code, doc) == (2, None)
+    assert f"value -1{'0' * 8000} is negative (at x = 1{'0' * 4000})" in err
+    code, doc, err = run(capsys, "preserve", "x - 2*x", "--space", str(path),
+                         "--target", "b-metric")
+    assert (code, doc) == (2, None)
+    assert f"value -1{'0' * 4000} is negative" in err
+    assert "Fraction(" not in err
+
+
 def test_member_exit_codes(capsys):
     code, doc, _ = run(capsys, "member", "x^2", "--class", "EB",
                        "--points", "2000")

@@ -1,24 +1,29 @@
-"""Expression language: parsing, positions, evaluation, and the exact fragment."""
+"""Expression language: parsing, positions, evaluation, and the rational run."""
 
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gmetrix import eval_exact, eval_fn, exact_capable, parse_fn
-from gmetrix.dsl import Bin, Call, Lit, Neg, Piece, Var, _emit_source
+from gmetrix import (dsl, eval_exact, eval_fn, new_distance_table, parse_fn,
+                     pushforward)
+from gmetrix.dsl import (Bin, Call, Lit, Neg, Piece, Var, _Emitter,
+                         _emit_source)
 from gmetrix.errors import (
     DomainError,
     EvalError,
     NonFinite,
+    NonzeroDiagonal,
     OutOfCodomain,
     ParseError,
     PreconditionViolated,
     UnknownIdentifier,
 )
-from oracles import reference_eval
+from oracles import (is_rational_tree, random_positive_table, reference_eval,
+                     reference_exact)
 
 # Twenty expressions with independently written references. Every function
 # is nonnegative over the sample points, so evaluation never rejects.
@@ -202,6 +207,14 @@ def test_emitted_source_holds_float_reprs_only():
     source = _emit_source(parse_fn("x + 0.50").ast)
     assert "x + 0.5\n" in source
     assert "0.50" not in source
+    # the rational run names its literals and thresholds, never writes them
+    emitter = _Emitter(exact=True)
+    source = _emit_source(parse_fn("piece(x < 0.25 ? x + 0.50 : 97 / 89)").ast,
+                          emitter)
+    for text in ("0.25", ".25", "0.5", ".5", "97", "89"):
+        assert text not in source, text
+    assert sorted(emitter.constants.values()) == [Fraction(1, 4), Fraction(1, 2),
+                                                  89, 97]
 
 
 def test_min_max_keep_the_first_of_equal_arguments():
@@ -312,12 +325,12 @@ def test_negative_intermediates_are_allowed():
     assert eval_fn(parse_fn("exp(x) - 1"), 0.0) == 0.0
 
 
-def test_exact_fragment_detection():
-    assert exact_capable(parse_fn("min(x + 1, 2 * x)").ast)
-    assert exact_capable(parse_fn("max(3, x, x * x)").ast)
-    for source in ("x / 2", "sqrt(x)", "x - 1", "x^2",
-                   "piece(x < 1 ? 0 : 1)", "-x"):
-        assert not exact_capable(parse_fn(source).ast), source
+def test_rational_run_detection():
+    for source in ("min(x + 1, 2 * x)", "max(3, x, x * x)", "x / 2", "x - 1",
+                   "piece(x < 1 ? 0 : 1)", "-x", "abs(x)", "floor(x) + ceil(x)"):
+        assert parse_fn(source).exact_runner is not None, source
+    for source in ("sqrt(x)", "exp(x) - 1", "log1p(x)", "x^2", "min(x, 2^x)"):
+        assert parse_fn(source).exact_runner is None, source
 
 
 def test_exact_evaluation_matches_floats():
@@ -327,9 +340,28 @@ def test_exact_evaluation_matches_floats():
     assert float(at_third) == pytest.approx(eval_fn(fn, 1 / 3), rel=1e-15)
 
 
+def test_each_tree_compiles_once_per_domain(monkeypatch):
+    compiled = []
+    compile_ = dsl._compile
+
+    def counting(source, name, constants=None):
+        compiled.append((name, bool(constants)))
+        return compile_(source, name, constants)
+
+    monkeypatch.setattr(dsl, "_compile", counting)
+    dsl._run.cache_clear()
+    for _ in range(3):  # re-parses share the compiled runs
+        fn = parse_fn("x / 7 + 0.125")
+        assert eval_fn(fn, 7.0) == 1.125
+        assert eval_exact(fn.ast, Fraction(7)) == Fraction(9, 8)
+        assert next(fn.exact_runner([Fraction(1)])) == Fraction(15, 56)
+    assert compiled == [("run", False), ("run", True)]
+
+
 def test_exact_evaluation_rejects_foreign_trees():
+    assert eval_exact(parse_fn("x / 2").ast, Fraction(1)) == Fraction(1, 2)
     with pytest.raises(PreconditionViolated):
-        eval_exact(parse_fn("x / 2").ast, Fraction(1))
+        eval_exact(parse_fn("sqrt(x)").ast, Fraction(1))
 
 
 # --- the generated evaluator against the reference interpreter ---------------
@@ -430,3 +462,52 @@ def test_generated_scan_matches_reference(source, sample):
     except ParseError:  # more piece branches than the cap
         assume(False)
     assert_scan_agrees(fn, [sample])
+
+
+# --- the rational run against its exact twin ----------------------------------
+
+def _pushforward_outcome(fn, entries):
+    """pushforward's image rows, or the type and message of its error."""
+    table = new_distance_table([f"p{i}" for i in range(len(entries))], entries)
+    try:
+        return pushforward(fn, table).entries
+    except (EvalError, NonzeroDiagonal) as err:
+        return (type(err).__name__, str(err))
+
+
+def _reference_outcome(ast, entries):
+    """The image rows by the exact twin, or by the float reference converted
+    exactly for a tree with sqrt, exp, log1p or "^"; the distinct entries
+    are evaluated in row-major order, and the first failure is the
+    outcome."""
+    def evaluate(v):
+        if is_rational_tree(ast):
+            return reference_exact(ast, v)
+        return Fraction(reference_eval(ast, float(v)))
+
+    try:
+        image = {v: evaluate(v)
+                 for v in dict.fromkeys(chain.from_iterable(entries))}
+    except EvalError as err:
+        return (type(err).__name__, str(err))
+    if image[0] != 0:
+        err = NonzeroDiagonal(0, image[0])
+        return (type(err).__name__, str(err))
+    return tuple(tuple(image[v] for v in row) for row in entries)
+
+
+_TABLES = st.builds(random_positive_table, st.integers(2, 4),
+                    st.integers(0, 10 ** 6), st.sampled_from([1, 3, 7, 12]),
+                    st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions(), _TABLES)
+def test_pushforward_matches_the_exact_twin(source, entries):
+    try:
+        fn = parse_fn(source)
+    except ParseError:  # more piece branches than the cap
+        assume(False)
+    assert (fn.exact_runner is None) == (not is_rational_tree(fn.ast))
+    assert _pushforward_outcome(fn, entries) == _reference_outcome(fn.ast,
+                                                                   entries)

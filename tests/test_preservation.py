@@ -88,6 +88,22 @@ def test_pushforward_nonzero_origin_breaks_the_diagonal():
         pushforward(parse_fn("max(x, 1)"), PATH_SPACE)
 
 
+#: a collinear metric, d(x, z) = a + b, whose entries no float holds
+_A, _B = Fraction(295147, 134653), Fraction(794773, 933489)
+COLLINEAR = new_distance_table(["x", "y", "z"], [[0, _A, _A + _B],
+                                                 [_A, 0, _B],
+                                                 [_A + _B, _B, 0]])
+
+
+@pytest.mark.parametrize("source", ["x", "abs(x)", "x/1", "x-0", "2*x/2"])
+def test_rational_pushforward_keeps_a_collinear_metric(source):
+    # each is the identity on [0, inf), so the image is the table itself;
+    # an image rounded through floats breaks the equality d(x, z) = a + b
+    f = parse_fn(source)
+    assert pushforward(f, COLLINEAR).entries == COLLINEAR.entries
+    assert preserve_check(f, COLLINEAR, ClassTag.METRIC).holds
+
+
 def test_pushforward_float_path_rejects_an_entry_past_float_range():
     table = new_distance_table(["x", "y"], [[0, "1e400"], ["1e400", 0]])
     with pytest.raises(NonFinite, match="table entry outside the float range"):
