@@ -223,8 +223,10 @@ def _monotonicity(points: list[float], value_at: dict[float, float]) -> Verdict:
     return holds(note=f"nondecreasing across {len(points)} sorted samples")
 
 
-def _limit_at_zero(f: RealFn, x_max: float) -> Optional[float]:
-    """Estimate lim f at 0+ from the geometric tail.
+def _limit_at_zero(value_at: dict[float, float],
+                   x_max: float) -> Optional[float]:
+    """Estimate lim f at 0+ from the geometric tail, whose points the sample
+    set holds: both halve down from x_max, and this one stops no lower.
 
     Values shrinking by a factor <= 0.75 per halving for the last probes give
     0.0; values stable within 1e-6 relative give the smallest-x value; mixed
@@ -233,7 +235,7 @@ def _limit_at_zero(f: RealFn, x_max: float) -> Optional[float]:
     tail = _geometric_tail(x_max, max(_GEO_FLOOR, x_max * 2.0 ** -30))
     if len(tail) < 4:
         return None
-    values = list(f.runner(list(reversed(tail))[:4]))  # four smallest samples
+    values = [value_at[x] for x in reversed(tail[-4:])]  # four smallest
     vanishing = all(abs(values[i]) <= 0.75 * abs(values[i + 1]) + 1e-300
                     for i in range(len(values) - 1))
     if vanishing:
@@ -304,6 +306,6 @@ def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
         increasing=increasing,
         subadditive=subadditive,
         quasi_subadditive=quasi,
-        limit_at_zero=_limit_at_zero(f, grid.x_max),
+        limit_at_zero=_limit_at_zero(value_at, grid.x_max),
         plateau=None if plateau_b is None else verify_plateau(f, plateau_b),
     )

@@ -29,30 +29,28 @@ DomainError; overflow, inf, or NaN raises NonFinite (also floor, ceil, min,
 max or "^" of an intermediate NaN, so no comparison or power drops a NaN); a
 negative final value raises OutOfCodomain.
 
-Each RealFn has three generated functions from one checked body: the
-straight-line code computing f(x) with one assignment per tree node and
-every check above inline. It is pasted wherever f is evaluated, so each
-check is written once. Each function is compiled on its first use:
+Each RealFn has four generated functions, compiled on first use into one
+bounded cache keyed by (tree, shape, domain), so a re-parsed expression
+compiles nothing again. All four hold one checked body: the straight-line
+code computing f(x) with one assignment per tree node and every check above
+inline, so each check is written once.
 
-- `run(xs)` (`RealFn.runner`), on the first float evaluation: a generator
-  that pulls each x only when its value is asked for and yields f(x). A
-  failing x raises after the values before it have been yielded. Callers
-  zip the values with the xs they passed in; eval_fn is the single-x entry
-  on top of it.
-- `scan(samples, split)` (`RealFn.scanner`), when an image-triplet scan
-  first runs: for each sample (a, b, c) it evaluates the body at a, then b,
-  then c, applies the relaxation-constant formula of triplets._constant and
-  keeps the running sups, all in one frame.
-- `pairs(schedule, value_at, split, tol)` (`RealFn.pairer`), when a grid
-  profile first runs: for each pair (a, b) it evaluates the body at a + b,
+- `run(xs)` (`RealFn.runner`): a generator that pulls each x only when its
+  value is asked for and yields f(x). A failing x raises after the values
+  before it have been yielded. Callers zip the values with the xs they
+  passed in; eval_fn is the single-x entry on top of it.
+- `scan(samples, split)` (`RealFn.scanner`), the image-triplet scan: for
+  each sample (a, b, c) it evaluates the body at a, then b, then c, applies
+  the relaxation-constant formula of triplets._constant and keeps the
+  running sups, all in one frame.
+- `pairs(schedule, value_at, split, tol)` (`RealFn.pairer`), the grid
+  profile's pair loop: for each pair (a, b) it evaluates the body at a + b,
   reads f(a) and f(b) from the profile's point values and keeps both
   subadditivity views of classify_fn, all in one frame.
-
-The same emitter writes a rational `run(xs)` (`RealFn.exact_runner`,
-eval_exact): x, literals, thresholds and every value are Fractions, with the
-checks a rational can fail. Trees with sqrt, exp, log1p or "^" have none;
-table pushforwards use it when there is one. Both runs compile once per
-distinct tree, in a bounded cache.
+- the rational `run(xs)` (`RealFn.exact_runner`, eval_exact): x, literals,
+  thresholds and every value are Fractions, with the checks a rational can
+  fail. Trees with sqrt, exp, log1p or "^" have none; table pushforwards
+  use it when there is one.
 
 The generated text is built from fixed names, repr(float) literals or names
 bound to Fractions, and the grammar's operators only, never from the
@@ -513,10 +511,8 @@ def _checked(ast: Node, emitter: _Emitter) -> tuple[str, str]:
 """, result
 
 
-def _emit_source(ast: Node, emitter: _Emitter | None = None) -> str:
-    """Python source of the generator `run(xs)` for one tree, in the
-    emitter's domain (floats by default)."""
-    check, fx = _checked(ast, emitter or _Emitter())
+def _emit_run(check: str, fx: str) -> str:
+    """Python source of the generator `run(xs)` around a checked body."""
     return f"""\
 def run(xs):
     for x in xs:
@@ -537,17 +533,30 @@ def _ratio_update(num: str, one: str, other: str) -> str:
 """
 
 
-def _emit_scan(ast: Node) -> str:
-    """Python source of `scan(samples, split)` for one tree.
+def _sup_update(pad: str, value: str, at: str, witness: str,
+                above: str) -> str:
+    """What classify.diverged reads, in scan and pairs alike: the sup of
+    value with its first arg-max's witness in at, and the sups where above
+    holds (sup_top) and where it fails (sup_below)."""
+    return f"""\
+{pad}if {value} > sup:
+{pad}    sup = {value}
+{pad}    {at} = {witness}
+{pad}if {above}:
+{pad}    if {value} > sup_top: sup_top = {value}
+{pad}elif {value} > sup_below: sup_below = {value}
+"""
+
+
+def _emit_scan(check: str, fx: str) -> str:
+    """Python source of `scan(samples, split)` around a checked body.
 
     For each sample (a, b, c) it evaluates the body at a, then b, then c,
     scores the images with the formula of triplets._constant, and keeps the
-    sup of the constants overall, over samples with an entry above split,
-    and over the rest. It stops at the first infinite constant and returns
-    (used, sup, sup_top, sup_below, best, infinite); best and infinite are
-    (sample, images) or None.
+    sups of _sup_update (above split: any entry above it). It stops at the
+    first infinite constant and returns (used, sup, sup_top, sup_below,
+    best, infinite); best and infinite are (sample, images) or None.
     """
-    check, fx = _checked(ast, _Emitter())
     return f"""\
 def scan(samples, split):
     sup = sup_top = sup_below = 0.0
@@ -572,32 +581,26 @@ def scan(samples, split):
         if k == _inf:
             infinite = (t, (fa, fb, fc))
             break
-        if k > sup:
-            sup = k
-            best = (t, (fa, fb, fc))
-        if a > split or b > split or c > split:
-            if k > sup_top: sup_top = k
-        elif k > sup_below: sup_below = k
+{_sup_update(" " * 8, "k", "best", "(t, (fa, fb, fc))",
+             "a > split or b > split or c > split")}\
     return used, sup, sup_top, sup_below, best, infinite
 """
 
 
-def _emit_pairs(ast: Node) -> str:
-    """Python source of `pairs(schedule, value_at, split, tol)` for one tree:
-    classify_fn's pair loop.
+def _emit_pairs(check: str, fx: str) -> str:
+    """Python source of `pairs(schedule, value_at, split, tol)` around a
+    checked body: classify_fn's pair loop.
 
     For each pair (a, b) it evaluates the body at x = a + b and reads f(a)
-    and f(b) from value_at. It keeps the largest defect
-    f(a + b) - f(a) - f(b), whether any defect exceeds
-    tol * max(1, |f(a + b)|), and the sup of the ratios
-    f(a + b) / (f(a) + f(b)) over pairs with f(a) + f(b) > 0: overall, over
-    sums above split and over the rest. It returns (count, max_defect,
-    defect_at, violates, sup, sup_top, sup_below, ratio_at); defect_at and
-    ratio_at hold (a, b, f(a), f(b), f(a + b)) of the first pair reaching
-    each maximum, or None. After the final-range check f(a + b) >= 0, so
-    max(1, |f(a + b)|) is one comparison.
+    and f(b) from value_at. It keeps the largest defect f(a + b) - f(a) -
+    f(b), whether any defect exceeds tol * max(1, |f(a + b)|), and the sups
+    of _sup_update over the ratios f(a + b) / (f(a) + f(b)) of pairs with
+    f(a) + f(b) > 0 (above split: the sum above it). It returns (count,
+    max_defect, defect_at, violates, sup, sup_top, sup_below, ratio_at);
+    defect_at and ratio_at hold (a, b, f(a), f(b), f(a + b)) of the first
+    pair reaching each maximum, or None. After the final-range check
+    f(a + b) >= 0, so max(1, |f(a + b)|) is one comparison.
     """
-    check, fx = _checked(ast, _Emitter())
     return f"""\
 def pairs(schedule, value_at, split, tol):
     max_defect = -_inf
@@ -620,31 +623,29 @@ def pairs(schedule, value_at, split, tol):
         denom = fa + fb
         if denom > 0.0:
             ratio = fab / denom
-            if ratio > sup:
-                sup = ratio
-                ratio_at = (a, b, fa, fb, fab)
-            if x > split:
-                if ratio > sup_top: sup_top = ratio
-            elif ratio > sup_below: sup_below = ratio
+{_sup_update(" " * 12, "ratio", "ratio_at", "(a, b, fa, fb, fab)",
+             "x > split")}\
     return (count, max_defect, defect_at, violates, sup, sup_top, sup_below,
             ratio_at)
 """
 
 
-def _compile(source: str, name: str, constants: dict | None = None):
-    namespace = {**_NAMESPACE, **(constants or {})}
-    exec(compile(source, "<gmetrix expression>", "exec"), namespace)
-    return namespace.pop(name)  # no cycle through its own globals
+_TEMPLATES = {"run": _emit_run, "scan": _emit_scan, "pairs": _emit_pairs}
 
 
 @lru_cache(maxsize=64)
-def _run(ast: Node, exact: bool):
-    """`run(xs)` of a tree in one domain; None where no rational run exists."""
+def _generated(ast: Node, shape: str, exact: bool):
+    """The compiled function `shape` of _TEMPLATES for a tree, in floats or
+    Fractions; None where the tree has no rational body. Callers pass all
+    three arguments positionally, so one function is one cache key."""
     emitter = _Emitter(exact)
-    try:  # the emitter's constants are complete once its source is
-        return _compile(_emit_source(ast, emitter), "run", emitter.constants)
+    try:
+        source = _TEMPLATES[shape](*_checked(ast, emitter))
     except PreconditionViolated:
         return None
+    namespace = {**_NAMESPACE, **emitter.constants}  # complete with the body
+    exec(compile(source, "<gmetrix expression>", "exec"), namespace)
+    return namespace.pop(shape)  # no cycle through its own globals
 
 
 @dataclass(frozen=True)
@@ -656,33 +657,28 @@ class RealFn:
 
     @cached_property
     def runner(self) -> Callable[[Iterable[float]], Iterator[float]]:
-        """The generator `run(xs)`, generated and compiled on first use: it
-        pulls each float x only when its value is asked for and yields f(x),
-        with every check of eval_fn. When an x fails, the values before it
-        have been yielded and the error names that x."""
-        return _run(self.ast, False)
+        """The generator `run(xs)` over floats, with every check of eval_fn;
+        a failing x raises after the values before it, naming that x."""
+        return _generated(self.ast, "run", False)
 
     @cached_property
     def exact_runner(self) -> Callable[..., Iterator[Fraction]] | None:
         """`run(xs)` over Fractions; None for sqrt, exp, log1p or "^"."""
-        return _run(self.ast, True)
+        return _generated(self.ast, "run", True)
 
     @cached_property
     def scanner(self) -> Callable[[Iterable[tuple[float, float, float]], float],
                                   tuple]:
-        """The image-triplet scan `scan(samples, split)` (see _emit_scan),
-        generated and compiled on first use, so that only a scan pays for
-        it. A failing entry raises with its own x, like eval_fn."""
-        return _compile(_emit_scan(self.ast), "scan")
+        """The image-triplet scan `scan(samples, split)` (see _emit_scan). A
+        failing entry raises with its own x, like eval_fn."""
+        return _generated(self.ast, "scan", False)
 
     @cached_property
     def pairer(self) -> Callable[[Iterable[tuple[float, float]],
                                   dict[float, float], float, float], tuple]:
         """The grid profile's pair loop `pairs(schedule, value_at, split,
-        tol)` (see _emit_pairs), generated and compiled on first use, so
-        that only a profile pays for it. A failing sum raises with its own
-        x, like eval_fn."""
-        return _compile(_emit_pairs(self.ast), "pairs")
+        tol)` (see _emit_pairs). A failing sum raises with its own x."""
+        return _generated(self.ast, "pairs", False)
 
     def __call__(self, x) -> float:
         return eval_fn(self, x)
@@ -715,7 +711,7 @@ def eval_fn(fn: RealFn, x) -> float:
 def eval_exact(node: Node, x: Fraction) -> Fraction:
     """Exact f(x) at a rational x through the tree's rational run;
     PreconditionViolated for a tree that has none."""
-    run = _run(node, True)
+    run = _generated(node, "run", True)
     if run is None:
         raise PreconditionViolated(f"{node!r} has no rational run")
     return next(run((x,)))

@@ -353,6 +353,21 @@ def test_profile_builds_only_the_witnesses_it_reports(monkeypatch):
     assert len(built) == 2
 
 
+def test_profile_runs_f_over_the_sample_set_only(monkeypatch):
+    f = parse_fn("x / (1 + x)")
+    run, runs = f.runner, []
+
+    def counting(xs):
+        runs.append(xs)
+        return run(xs)
+
+    monkeypatch.setitem(vars(f), "runner", counting)
+    profile = classify_fn(f, GRID_10)
+    # f(0), then the rest of the sample set; the limit reads those values
+    assert len(runs) == 2
+    assert profile.limit_at_zero == 0.0
+
+
 def test_profile_json_is_byte_stable():
     first = classify_fn(parse_fn("x / (1 + x)"), GRID_10)
     second = classify_fn(parse_fn("x / (1 + x)"), GRID_10)

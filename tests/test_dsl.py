@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gmetrix import (dsl, eval_exact, eval_fn, new_distance_table, parse_fn,
                      pushforward)
-from gmetrix.dsl import (Bin, Call, Lit, Neg, Piece, Var, _Emitter,
-                         _emit_source)
+from gmetrix.dsl import (Bin, Call, Lit, Neg, Piece, Var, _Emitter, _checked,
+                         _emit_run)
 from gmetrix.errors import (
     DomainError,
     EvalError,
@@ -204,13 +204,13 @@ def test_wide_min():
 
 
 def test_emitted_source_holds_float_reprs_only():
-    source = _emit_source(parse_fn("x + 0.50").ast)
+    source = _emit_run(*_checked(parse_fn("x + 0.50").ast, _Emitter()))
     assert "x + 0.5\n" in source
     assert "0.50" not in source
     # the rational run names its literals and thresholds, never writes them
     emitter = _Emitter(exact=True)
-    source = _emit_source(parse_fn("piece(x < 0.25 ? x + 0.50 : 97 / 89)").ast,
-                          emitter)
+    source = _emit_run(*_checked(
+        parse_fn("piece(x < 0.25 ? x + 0.50 : 97 / 89)").ast, emitter))
     for text in ("0.25", ".25", "0.5", ".5", "97", "89"):
         assert text not in source, text
     assert sorted(emitter.constants.values()) == [Fraction(1, 4), Fraction(1, 2),
@@ -340,22 +340,18 @@ def test_exact_evaluation_matches_floats():
     assert float(at_third) == pytest.approx(eval_fn(fn, 1 / 3), rel=1e-15)
 
 
-def test_each_tree_compiles_once_per_domain(monkeypatch):
-    compiled = []
-    compile_ = dsl._compile
-
-    def counting(source, name, constants=None):
-        compiled.append((name, bool(constants)))
-        return compile_(source, name, constants)
-
-    monkeypatch.setattr(dsl, "_compile", counting)
-    dsl._run.cache_clear()
-    for _ in range(3):  # re-parses share the compiled runs
+def test_each_tree_compiles_each_function_once():
+    dsl._generated.cache_clear()
+    for _ in range(3):  # re-parses share all four compiled functions
         fn = parse_fn("x / 7 + 0.125")
         assert eval_fn(fn, 7.0) == 1.125
         assert eval_exact(fn.ast, Fraction(7)) == Fraction(9, 8)
         assert next(fn.exact_runner([Fraction(1)])) == Fraction(15, 56)
-    assert compiled == [("run", False), ("run", True)]
+        assert fn.scanner([(7.0, 0.0, 0.0)], 10.0)[:2] == (1, 4.5)
+        assert fn.pairer([(7.0, 7.0)], {7.0: 1.125}, 10.0, 1e-9)[:2] \
+            == (1, 2.125 - 2 * 1.125)
+    info = dsl._generated.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
 
 
 def test_exact_evaluation_rejects_foreign_trees():

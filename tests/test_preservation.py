@@ -421,11 +421,12 @@ def test_theorem_suite_compiles_each_scanner_at_most_once(monkeypatch):
     compiled = Counter()
     emit_scan = dsl._emit_scan
 
-    def counting(ast):
-        compiled[ast] += 1
-        return emit_scan(ast)
+    def counting(check, fx):
+        compiled[check, fx] += 1  # one checked body per tree here
+        return emit_scan(check, fx)
 
-    monkeypatch.setattr(dsl, "_emit_scan", counting)
+    monkeypatch.setitem(dsl._TEMPLATES, "scan", counting)
+    dsl._generated.cache_clear()  # so no scanner comes from earlier tests
     assert theorem_suite(seed=0).all_passed
     # one scanner for each of the suite's 7 scans, none compiled twice
     assert (len(compiled), max(compiled.values())) == (7, 1)
