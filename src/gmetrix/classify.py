@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
 
-from .dsl import RealFn, eval_fn
+from .dsl import RealFn
 from .errors import PreconditionViolated, exact_text
 from .model import Verdict, Witness, encode_value, fails, holds, inconclusive
 
@@ -167,9 +167,10 @@ def verify_plateau(f: RealFn, b: float) -> Optional[tuple[float, float]]:
     """
     if not (b > 0 and math.isfinite(b)):
         raise PreconditionViolated("plateau edge b must be positive and finite")
-    a = eval_fn(f, b)
+    values = f.runner(_geometric_tail(float(b), b * 2.0 ** -30))
+    a = next(values)  # the tail starts at b
     # lazy: the first mismatch ends the check before later points are met
-    for value in f.runner(_geometric_tail(b, b * 2.0 ** -30)):
+    for value in values:
         if abs(value - a) > REL_TOL * max(1.0, abs(a)):
             return None
     if a <= 0.0:

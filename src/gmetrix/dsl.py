@@ -10,9 +10,14 @@ Grammar (whitespace insignificant, no implicit multiplication):
             | "(" expr ")" | piece
     piece  := "piece" "(" "x" ("<" | "<=") NUMBER "?" expr ":" expr ")"
     NUMBER := digits ("." digits)?        # nonnegative literals, parsed exactly
+    NAME   := (letter | "_") (alphanumeric | "_")*
 
 Functions: min, max (two or more arguments), sqrt, exp, log1p, abs, floor,
 ceil (one argument). Rational constants are spelled with "/" (e.g. 3/4).
+NUMBER digits are decimal digits of any script, the ones Fraction reads
+("١" is 1); a character outside every token, such as a superscript
+"²" (which passes str.isdigit but is no decimal digit), is reported as
+unexpected. Blanks are space, tab, carriage return and newline.
 Precedence from loose to tight: +-, */, unary minus, ^. At most eight piece
 branches per expression. Operands nest at most 100 deep: the whole
 expression is at depth 1, and each parenthesis group, unary minus, "^"
@@ -60,6 +65,7 @@ expression's own text.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,67 +101,35 @@ class _Token:
         return "end of input" if self.kind == "EOF" else repr(self.text)
 
 
-_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "?": "QUESTION",
-                ":": "COLON"}
+# One group per token kind, tried in this order; a name must also start
+# with a letter or "_", which the loop checks, since [^\W\d] admits "½".
+# POINT is a number whose decimal point has no digit after it, OTHER any
+# character outside every token. \d is the decimal digits Fraction reads.
+_TOKEN = re.compile(r"""
+    (?P<BLANK>[ \t\r]+) | (?P<NEWLINE>\n) | (?P<POINT>\d+\.(?!\d))
+  | (?P<NUMBER>\d+(?:\.\d+)?) | (?P<IDENT>[^\W\d]\w*) | (?P<OP>[-+*/^])
+  | (?P<LE><=) | (?P<LT><) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+  | (?P<QUESTION>\?) | (?P<COLON>:) | (?P<OTHER>.)""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                if j >= n or not text[j].isdigit():
-                    raise ParseError("digit expected after decimal point",
-                                     line, col + (j - i),
-                                     expected=("a digit",))
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, start_col,
-                                 _literal(text[i:j], line, start_col)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("OP", ch, line, start_col))
-        elif ch in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[ch], ch, line, start_col))
-        elif ch == "<":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(_Token("LE", "<=", line, start_col))
-                i += 1
-                col += 1
-            else:
-                tokens.append(_Token("LT", "<", line, start_col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "POINT":
+            raise ParseError("digit expected after decimal point", line,
+                             col + len(lexeme), expected=("a digit",))
+        elif kind == "OTHER" or (kind == "IDENT" and lexeme[0] != "_"
+                                 and not lexeme[0].isalpha()):
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+        elif kind != "BLANK":
+            value = _literal(lexeme, line, col) if kind == "NUMBER" else None
+            tokens.append(_Token(kind, lexeme, line, col, value))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -258,7 +258,7 @@ def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
                      f"{images!r} with relaxation constant {constant!r}"),
         lhs=max(images), rhs=min(images),
         data={"triplet": t, "images": images,
-              "constant": "inf" if constant == math.inf else constant})
+              "constant": constant})
 
 
 class _Evidence:
@@ -380,7 +380,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
     return report(
         MembershipStatus.INCONCLUSIVE, None, None, constants,
         f"sufficient premises not established on the grid "
-        f"(missing: {', '.join(missing) or 'none'}); no refutation found")
+        f"(missing: {', '.join(missing)}); no refutation found")
 
 
 # --- counterexample search ----------------------------------------------------------

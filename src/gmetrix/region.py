@@ -140,9 +140,9 @@ def region_check(f: RealFn, spec: RegionSpec) -> RegionReport:
     Raises PlateauNotVerified unless f(0) = 0 and f is constant on (0, b]
     at the declared value a; the envelope is meaningless without that base.
     """
-    if eval_fn(f, 0.0) != 0.0:
-        raise PlateauNotVerified(
-            f"f(0) = {eval_fn(f, 0.0)!r}, expected exactly 0")
+    f0 = eval_fn(f, 0.0)
+    if f0 != 0.0:
+        raise PlateauNotVerified(f"f(0) = {f0!r}, expected exactly 0")
     plateau = verify_plateau(f, spec.b)
     if plateau is None:
         raise PlateauNotVerified(

@@ -388,6 +388,12 @@ def test_verify_plateau():
     assert verify_plateau(parse_fn("piece(x <= 1 ? 0 : 1)"), 1.0) is None
     with pytest.raises(PreconditionViolated):
         verify_plateau(parse_fn("ceil(x)"), 0.0)
+    # f(b) is the first point of the tail, so one run of 31 points checks it
+    f = parse_fn("ceil(x)")
+    runs, run = [], f.runner
+    f.__dict__["runner"] = lambda xs: run(runs.append(list(xs)) or runs[-1])
+    assert verify_plateau(f, 1.0) == (1.0, 1.0)
+    assert [len(xs) for xs in runs] == [31]
 
 
 def test_classify_attaches_requested_plateau():

@@ -91,6 +91,11 @@ MALFORMED = [
     ("x ? 1", 1, 3),
     ("(x : 1)", 1, 4),
     ("piece(x < 1 ? 0 1)", 1, 17),      # ':' missing
+    ("x + \u00b2", 1, 5),               # a superscript is not a digit
+    ("2\u00b2", 1, 2),
+    ("1.\u00b2", 1, 3),
+    ("x\t@", 1, 3),                     # a tab is one column
+    ("x\r@", 1, 3),                     # a carriage return ends no line
 ]
 
 
@@ -108,6 +113,17 @@ def test_error_position_spans_lines():
     with pytest.raises(ParseError) as excinfo:
         parse_fn("min(x,\n 2y)")
     assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+
+
+def test_numbers_are_spelled_in_decimal_digits():
+    # any script's decimal digits, as Fraction reads them: Arabic-Indic one
+    fn = parse_fn("\u0661 + x")
+    assert [eval_fn(fn, x) for x in SAMPLE_XS] == [1.0 + x for x in SAMPLE_XS]
+    # a superscript passes str.isdigit but is no decimal digit
+    with pytest.raises(ParseError) as excinfo:
+        parse_fn("x + \u00b2")
+    assert str(excinfo.value) == ("unexpected character '\u00b2' "
+                                  "at line 1, column 5")
 
 
 def test_unknown_identifier_is_a_parse_error():
@@ -178,10 +194,11 @@ def test_nesting_cap_fits_the_frame_budget(shape):
 
 
 # everything the tokenizer knows, a few things it rejects, and characters
-# that pass str.isdigit or str.isalpha without being ASCII
+# that pass str.isdigit, str.isalnum or str.isalpha without being ASCII
 _SOUP = ["x", "1", "0.5", "1.", "+", "-", "*", "/", "^", "(", ")", ",", "?",
          ":", "<", "<=", "min", "max", "sqrt", "exp", "log1p", "abs", "floor",
-         "ceil", "piece", "y", "@", " ", "\n", "\u00b2", "\u0661", "\u00e9"]
+         "ceil", "piece", "y", "@", " ", "\n", "\t", "\r", "\u00b2", "\u2460",
+         "\u00bd", "\u0661", "\u00e9"]
 
 
 @settings(max_examples=500, deadline=None)
