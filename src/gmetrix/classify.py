@@ -193,6 +193,13 @@ def _point_values(f: RealFn, points: list[float]) -> dict[float, float]:
     return dict(zip(order + rest, values))
 
 
+def zero_witness(x: float, **data) -> Witness:
+    """The amenability refutation f(x) = 0 at a positive x; data (such as
+    the image triplet that met it) is recorded after x."""
+    return Witness(description=f"f({x!r}) = 0 although x > 0",
+                   lhs=0.0, rhs=0.0, data={"x": x, **data})
+
+
 def _amenability(value_at: dict[float, float]) -> Verdict:
     f0 = value_at[0.0]
     if f0 != 0.0:
@@ -203,9 +210,7 @@ def _amenability(value_at: dict[float, float]) -> Verdict:
     zero_at = next((x for x, value in value_at.items()
                     if x > 0.0 and value == 0.0), None)
     if zero_at is not None:
-        return fails(Witness(
-            description=f"f({zero_at!r}) = 0 although x > 0",
-            lhs=0.0, rhs=0.0, data={"x": zero_at}))
+        return fails(zero_witness(zero_at))
     return holds(note=f"grid-verified on {len(value_at) - 1} positive samples")
 
 

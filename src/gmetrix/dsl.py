@@ -624,7 +624,8 @@ def _generated(ast: Node, shape: str, exact: bool):
 
 @dataclass(frozen=True)
 class RealFn:
-    """A parsed function expression; callable on floats (and rationals)."""
+    """A parsed function expression; callable on floats (a rational
+    argument is converted to float)."""
 
     source: str
     ast: Node

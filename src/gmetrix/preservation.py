@@ -34,7 +34,7 @@ from itertools import chain, islice, product
 from typing import Mapping, Optional
 
 from . import axioms
-from .classify import GridSpec, classify_fn, diverged
+from .classify import GridSpec, classify_fn, diverged, zero_witness
 from .dsl import RealFn, parse_fn
 from .errors import (
     NonFinite,
@@ -250,17 +250,6 @@ def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
         scale / 2.0))
 
 
-def _triplet_witness(entry: tuple[Sample, tuple[float, float, float]],
-                     constant: float) -> Witness:
-    t, images = entry
-    return Witness(
-        description=(f"triangle triplet {t!r} maps to "
-                     f"{images!r} with relaxation constant {constant!r}"),
-        lhs=max(images), rhs=min(images),
-        data={"triplet": t, "images": images,
-              "constant": constant})
-
-
 class _Evidence:
     """What the membership ladder reads about one function under one budget:
     its grid profile, and the image-triplet scan, run when a rung first
@@ -302,26 +291,30 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
                                 budget=evidence.budget,
                                 source=evidence.f.source)
 
+    # ends the note of each rung that refutes the relaxed classes
+    transfer = ("; ultrametric preservation sits inside the relaxed classes, "
+                "so the refutation transfers" if class_tag is ClassTag.U
+                else "")
+
     if profile.amenable.fails:
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
                       profile.amenable.witness, {},
                       "every supported class forces f(0) = 0 and f > 0 elsewhere")
     if profile.quasi_subadditive.fails:
-        constants = dict(profile.quasi_subadditive.constants)
         # quasi-subadditivity is necessary even for the extended class, so
         # this screen refutes all five supported classes; only the weaker
         # image-triplet divergence below stays open for it
-        note = ("pair ratios f(a+b)/(f(a)+f(b)) diverge, violating the "
-                "quasi-subadditivity every supported class requires")
-        if class_tag is ClassTag.U:
-            note += ("; ultrametric preservation sits inside the relaxed "
-                     "classes, so the refutation transfers")
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_QUASI,
-                      profile.quasi_subadditive.witness, constants, note)
+                      profile.quasi_subadditive.witness,
+                      profile.quasi_subadditive.constants,
+                      "pair ratios f(a+b)/(f(a)+f(b)) diverge, violating the "
+                      "quasi-subadditivity every supported class requires"
+                      + transfer)
 
+    # amenability holds from here on, so monotonicity is the one premise
+    # the sufficient routes still need
     s_estimate = profile.s_star_estimate
-    premises = profile.amenable.holds and profile.increasing.holds
-    if class_tag is ClassTag.EB and premises:
+    if class_tag is ClassTag.EB and profile.increasing.holds:
         # the sufficient route for the extended class needs no triplet scan
         return report(
             MembershipStatus.MEMBER, BASIS_EB_SUFFICIENT, None,
@@ -336,51 +329,44 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
     if scan.infinite is not None:
         # f vanishes at a positive argument, so amenability fails after all
         t, images = scan.infinite
-        zero_arg = t[1] if images[1] == 0.0 else t[2]
-        witness = Witness(
-            description=f"f({zero_arg!r}) = 0 although x > 0",
-            lhs=0.0, rhs=0.0,
-            data={"x": zero_arg, "triplet": t, "images": images})
+        witness = zero_witness(t[1] if images[1] == 0.0 else t[2],
+                               triplet=t, images=images)
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
                       witness, constants,
                       "image triplet with an infinite relaxation constant")
     if scan.diverged:
-        witness = _triplet_witness(scan.best, scan.sup)
+        t, images = scan.best
+        witness = Witness(
+            description=(f"triangle triplet {t!r} maps to {images!r} with "
+                         f"relaxation constant {scan.sup!r}"),
+            lhs=max(images), rhs=min(images),
+            data={"triplet": t, "images": images, "constant": scan.sup})
         if class_tag is ClassTag.EB:
             return report(
                 MembershipStatus.INCONCLUSIVE, None, witness, constants,
                 "image triplet constants diverge for every scalar bound, but "
                 "a point-dependent bound table could still exist")
-        note = "no scalar bound can cover the sampled image triplets"
-        if class_tag is ClassTag.U:
-            note += ("; ultrametric preservation sits inside the relaxed "
-                     "classes, so the refutation transfers")
         return report(MembershipStatus.NON_MEMBER_EVIDENCE,
-                      BASIS_TRIPLET_DIVERGENCE, witness, constants, note)
+                      BASIS_TRIPLET_DIVERGENCE, witness, constants,
+                      "no scalar bound can cover the sampled image triplets"
+                      + transfer)
 
-    if premises:
-        if class_tag in _RELAXED_TRIO:
-            s = max(1.0, s_estimate, scan.sup)
-            return report(
-                MembershipStatus.MEMBER, BASIS_TRIPLET_SUFFICIENT, None,
-                {**constants, "s": s},
-                "image triplet constants plateau; the three relaxed classes "
-                "coincide, so one bound serves ultrametric-to-weak, "
-                "b-to-b, and metric-to-b preservation alike")
+    if not profile.increasing.holds:
         return report(
             MembershipStatus.INCONCLUSIVE, None, None, constants,
-            "screens passed, but no sufficient criterion for ultrametric "
-            "preservation is implemented")
-
-    missing = []
-    if not profile.amenable.holds:
-        missing.append("amenability")
-    if not profile.increasing.holds:
-        missing.append("monotonicity")
+            "sufficient premises not established on the grid "
+            "(missing: monotonicity); no refutation found")
+    if class_tag in _RELAXED_TRIO:
+        return report(
+            MembershipStatus.MEMBER, BASIS_TRIPLET_SUFFICIENT, None,
+            {**constants, "s": max(1.0, s_estimate, scan.sup)},
+            "image triplet constants plateau; the three relaxed classes "
+            "coincide, so one bound serves ultrametric-to-weak, "
+            "b-to-b, and metric-to-b preservation alike")
     return report(
         MembershipStatus.INCONCLUSIVE, None, None, constants,
-        f"sufficient premises not established on the grid "
-        f"(missing: {', '.join(missing)}); no refutation found")
+        "screens passed, but no sufficient criterion for ultrametric "
+        "preservation is implemented")
 
 
 # --- counterexample search ----------------------------------------------------------

@@ -135,7 +135,7 @@ def realize_in_plane(t: Triplet) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint]
     """
     a, b, c = (float(v) for v in t.as_tuple())
     if min(a, b, c) <= 0:
-        raise NonPositiveEntry(f"side lengths must be positive, got {t.as_tuple()}")
+        raise NonPositiveEntry(f"side lengths must be positive, got {(a, b, c)}")
     if not is_triangle_triplet(Triplet(a, b, c)):
         raise NotATriplet(f"{(a, b, c)} violates the triangle conditions")
     exponent = math.frexp(max(a, b, c))[1]

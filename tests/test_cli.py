@@ -71,6 +71,15 @@ def test_realize_undecidable_inputs(capsys):
     assert code == 64
 
 
+def test_realize_names_a_zero_side_as_floats(capsys):
+    code, doc, err = run(capsys, "realize", "0", "4", "5")
+    assert code == 2
+    assert doc is None
+    assert ("undecidable input: side lengths must be positive, got "
+            "(0.0, 4.0, 5.0)") in err
+    assert "Fraction(" not in err
+
+
 def test_realize_huge_sides(capsys):
     code, doc, _ = run(capsys, "realize", "1e300", "1e300", "1e300")
     assert code == 0

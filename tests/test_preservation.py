@@ -1,10 +1,12 @@
 """Pushforwards, targeted preservation, membership, search, and the suite."""
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gmetrix import (
     BASIS_AMENABILITY,
@@ -33,15 +35,19 @@ from gmetrix import (
     sample_triplets,
     theorem_suite,
 )
-from gmetrix import dsl, preservation
+from gmetrix import axioms, dsl, preservation
+from gmetrix.cli import main
 from gmetrix.errors import (
     DomainError,
+    EvalError,
     NonFinite,
     NonzeroDiagonal,
+    ParseError,
     PreconditionViolated,
     SourceClassViolated,
     UnsupportedClass,
 )
+from test_dsl import _expressions
 
 PATH_SPACE = new_distance_table(["x", "y", "z"],
                                 [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -308,6 +314,83 @@ def test_unproven_premises_leave_membership_open(tag):
                            "(missing: monotonicity); no refutation found")
 
 
+LADDER_CLASSES = (ClassTag.U, ClassTag.DU, ClassTag.B, ClassTag.MB,
+                  ClassTag.EB)
+
+
+def _ladder_outcomes(f):
+    """Each class's report JSON without "class", or the type and message of
+    the evaluation error that stopped it, all decided from one evidence
+    record. An error of the grid profile stops every class; one of the scan
+    stops every class that reaches it."""
+    try:
+        evidence = preservation._Evidence(f, RUNG_BUDGET)
+    except EvalError as err:
+        return dict.fromkeys(LADDER_CLASSES, (type(err).__name__, str(err)))
+    outcomes = {}
+    for tag in LADDER_CLASSES:
+        try:
+            doc = preservation._decide(tag, evidence).to_json()
+        except EvalError as err:
+            outcomes[tag] = (type(err).__name__, str(err))
+            continue
+        del doc["class"]
+        outcomes[tag] = doc
+    return outcomes
+
+
+def _status(outcome):
+    return outcome["status"] if isinstance(outcome, dict) else None
+
+
+#: a drawn expression on the grid and another past it, switched at a
+#: threshold in (20, 40], where only the triplet scan looks; "x" then "0"
+#: passes the grid's screens and vanishes where the scan reaches
+_PAST_GRID_PIECES = st.builds(
+    lambda op, t, inside, past: f"piece(x {op} {t} ? {inside} : {past})",
+    st.sampled_from(["<", "<="]), st.integers(201, 400).map(lambda n: n / 10),
+    st.one_of(st.just("x"), _expressions()),
+    st.one_of(st.just("0"), _expressions()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_expressions(), _PAST_GRID_PIECES))
+def test_membership_answers_respect_the_class_lattice(source):
+    try:
+        f = parse_fn(source)
+    except ParseError:  # a fraction threshold, or past the piece cap
+        assume(False)
+    outcomes = _ladder_outcomes(f)
+    u, du, b, mb, eb = (outcomes[tag] for tag in LADDER_CLASSES)
+    # the three relaxed classes coincide
+    assert du == b == mb
+    # no sufficient criterion for ultrametric preservation exists here
+    assert _status(u) != "member"
+    # scalar membership implies extended membership
+    if _status(b) == "member":
+        assert _status(eb) == "member"
+    # a refutation of the extended class refutes every class alike
+    if _status(eb) == "non-member-evidence":
+        for outcome in outcomes.values():
+            assert _status(outcome) == "non-member-evidence"
+            assert (outcome["basis"], outcome["witness"]) \
+                == (eb["basis"], eb["witness"])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: the extended class's sufficient route reads the grid "
+    "on [0, x_max] only, while the scan that refutes B reaches 2 x_max"))
+def test_an_extended_member_is_refuted_by_no_class_for_amenability():
+    # Theorem thEB: every extended member is amenable
+    evidence = preservation._Evidence(parse_fn(VANISHES_PAST_GRID),
+                                      RUNG_BUDGET)
+    refuted = [tag for tag in LADDER_CLASSES
+               if preservation._decide(tag, evidence).basis
+               == BASIS_AMENABILITY]
+    extended = preservation._decide(ClassTag.EB, evidence)
+    assert extended.status is not MembershipStatus.MEMBER or not refuted
+
+
 def test_membership_rejects_undecidable_classes():
     with pytest.raises(UnsupportedClass):
         membership(parse_fn("x"), ClassTag.M, FAST)
@@ -447,3 +530,28 @@ def test_shared_evidence_decides_like_fresh_membership(name, source):
         fresh = membership(f, tag, budget)
         assert canonical_dumps(shared.to_json()) \
             == canonical_dumps(fresh.to_json())
+
+
+def test_theorem_suite_reports_failures_without_aborting(capsys, monkeypatch):
+    # a wrong constant fails two assertions and a raising region check a
+    # third; the suite reports all three, passes the other nine, and the
+    # command exits 1
+    def broken(*args):
+        raise RuntimeError("region check broke")
+
+    monkeypatch.setattr(axioms, "optimal_weak_ultra_constant", lambda t: 2)
+    monkeypatch.setattr(preservation, "region_check", broken)
+    assert main(["suite", "--seed", "0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = {item["id"]: item["details"] for item in doc["assertions"]
+              if not item["passed"]}
+    assert failed == {
+        "ultrametric-unit-constant": {"space": 0,
+                                      "reason": "constant above 1"},
+        "monotone-preserves-ultrametric": {"fn": "identity", "space": 0,
+                                           "reason": "constant above 1"},
+        "ceiling-envelope": {
+            "error": repr(RuntimeError("region check broke"))},
+    }
+    assert len(doc["assertions"]) == 12
+    assert doc["all_passed"] is False
