@@ -24,7 +24,7 @@ from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn
 from .errors import PreconditionViolated, exact_text
-from .model import Verdict, Witness, encode_value, fails, holds, inconclusive
+from .model import Verdict, Witness, fails, fields_to_json, holds, inconclusive
 
 #: Relative tolerance used by float-side comparisons (monotonicity, defects,
 #: plateaus, region bounds). Exact rational paths never use it.
@@ -70,9 +70,7 @@ class GridSpec:
                 f"n_points {self.n_points} exceeds the cap of "
                 f"{self.MAX_POINTS}")
 
-    def to_json(self):
-        return {"x_max": self.x_max, "n_points": self.n_points,
-                "seed": self.seed}
+    to_json = fields_to_json
 
 
 DEFAULT_GRID = GridSpec()
@@ -136,17 +134,7 @@ class FnProfile:
     def s_star_estimate(self) -> float:
         return float(self.quasi_subadditive.constants["s_star_estimate"])
 
-    def to_json(self):
-        return {
-            "source": self.source,
-            "grid": self.grid.to_json(),
-            "amenable": self.amenable.to_json(),
-            "increasing": self.increasing.to_json(),
-            "subadditive": self.subadditive.to_json(),
-            "quasi_subadditive": self.quasi_subadditive.to_json(),
-            "limit_at_zero": self.limit_at_zero,
-            "plateau": encode_value(self.plateau),
-        }
+    to_json = fields_to_json
 
 
 def _geometric_tail(top: float, floor: float) -> list[float]:

@@ -273,8 +273,8 @@ def _cmd_search(args) -> int:
     doc = {
         "source": args.expr.source,
         "class": args.klass.value,
-        "budget": budget.to_json(),
-        "witness": None if witness is None else witness.to_json(),
+        "budget": budget,
+        "witness": witness,
     }
     _emit(doc)
     if witness is None:

@@ -8,9 +8,10 @@ where user-supplied function expressions are evaluated.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -82,12 +83,15 @@ def rational_to_json(value: Fraction) -> Union[int, str]:
 
 
 def encode_value(value):
-    """Recursively encode values for JSON: rationals exact, floats as-is."""
+    """Recursively encode values for JSON: rationals exact, floats as-is but
+    ±inf as "inf" or "-inf", and a report through its own `to_json`."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
         return rational_to_json(value)
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, float):
+        return str(value) if math.isinf(value) else value
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
@@ -95,12 +99,21 @@ def encode_value(value):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, Enum):
         return value.value
+    if hasattr(value, "to_json"):
+        return value.to_json()
     raise TypeError(f"cannot encode {value!r}")
+
+
+def fields_to_json(record) -> dict:
+    """The `to_json` of a dataclass whose JSON is its fields, each encoded. A
+    record that gains a field its JSON must not show writes its own again."""
+    return {f.name: encode_value(getattr(record, f.name))
+            for f in fields(record)}
 
 
 def canonical_dumps(obj) -> str:
     """Deterministic strict JSON text: sorted keys, two-space indent, newline
-    at end; a NaN or infinite float raises ValueError."""
+    at end, ±inf written as encode_value does; a NaN raises ValueError."""
     return json.dumps(encode_value(obj), sort_keys=True, indent=2,
                       ensure_ascii=False, allow_nan=False) + "\n"
 
@@ -297,12 +310,7 @@ class DistanceTable(_RationalTable):
     _LABEL, _FLOOR, _ZERO_DIAGONAL = "entries", 0, True
     _below_floor = NegativeEntry
 
-    def to_json(self):
-        return {
-            "points": list(self.points),
-            "entries": [[rational_to_json(v) for v in row]
-                        for row in self.entries],
-        }
+    to_json = fields_to_json
 
 
 @dataclass(frozen=True)
@@ -320,7 +328,7 @@ class ThetaTable(_RationalTable):
         return max(v for row in self.entries for v in row)
 
     def to_json(self):
-        return [[rational_to_json(v) for v in row] for row in self.entries]
+        return encode_value(self.entries)
 
 
 def _build_table(kind: type, points: Sequence[str],

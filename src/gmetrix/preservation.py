@@ -52,6 +52,7 @@ from .model import (
     constant_theta,
     encode_value,
     fails,
+    fields_to_json,
     new_theta_table,
     random_space,
 )
@@ -216,7 +217,7 @@ class MembershipReport:
             "class": self.class_tag.value,
             "status": self.status.value,
             "basis": self.basis,
-            "witness": None if self.witness is None else self.witness.to_json(),
+            "witness": encode_value(self.witness),
             "constants": encode_value(self.constants),
             "note": self.note,
             "budget": self.budget.to_json(),
@@ -327,12 +328,17 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
                  "triplet_samples_used": scan.samples_used}
 
     if scan.infinite is not None:
-        # f vanishes at a positive argument, so amenability fails after all
         t, images = scan.infinite
-        witness = zero_witness(t[1] if images[1] == 0.0 else t[2],
-                               triplet=t, images=images)
+        if 0.0 not in images:
+            return report(
+                MembershipStatus.INCONCLUSIVE, None, None, constants,
+                f"image triplet {t!r} maps to {images!r}, whose relaxation "
+                "constant overflows the float range; no image is 0")
+        # f vanishes at a positive argument, so amenability fails after all;
+        # the zero is sought at b, then c, then a
+        x = next(t[i] for i in (1, 2, 0) if images[i] == 0.0)
         return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
-                      witness, constants,
+                      zero_witness(x, triplet=t, images=images), constants,
                       "image triplet with an infinite relaxation constant")
     if scan.diverged:
         t, images = scan.best
@@ -378,7 +384,7 @@ class SearchWitness:
 
     triplet: tuple[float, float, float]
     images: tuple[float, float, float]
-    constant: float  # math.inf when the image denominator vanishes
+    constant: float  # inf when a denominator vanishes or a ratio overflows
     u: PlanarPoint
     v: PlanarPoint
     w: PlanarPoint
@@ -389,7 +395,7 @@ class SearchWitness:
         return {
             "triplet": list(self.triplet),
             "images": list(self.images),
-            "constant": "inf" if self.constant == math.inf else self.constant,
+            "constant": encode_value(self.constant),
             "points": {"u": list(self.u.as_tuple()),
                        "v": list(self.v.as_tuple()),
                        "w": list(self.w.as_tuple())},
@@ -456,9 +462,7 @@ class SuiteAssertion:
     passed: bool
     details: Mapping[str, object]
 
-    def to_json(self):
-        return {"id": self.id, "description": self.description,
-                "passed": self.passed, "details": encode_value(self.details)}
+    to_json = fields_to_json
 
 
 @dataclass(frozen=True)

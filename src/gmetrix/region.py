@@ -17,7 +17,7 @@ from typing import ClassVar, Optional
 from .classify import REL_TOL, verify_plateau
 from .dsl import RealFn, eval_fn
 from .errors import OutOfRange, PlateauNotVerified, PreconditionViolated
-from .model import Verdict, Witness, fails, holds
+from .model import Verdict, Witness, fails, fields_to_json, holds
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ class IntervalCheck:
     upper: float
     verdict: Verdict
 
-    def to_json(self):
-        return {"n": self.n, "lower": self.lower, "upper": self.upper,
-                "verdict": self.verdict.to_json()}
+    to_json = fields_to_json
 
 
 @dataclass(frozen=True)

@@ -646,6 +646,31 @@ def test_search_witness_at_huge_scale(capsys):
                for coordinate in point)
 
 
+def test_an_infinite_constant_is_written_as_inf(capsys):
+    # a grid pair ratio near 1e300 / (2 * 1e-240) overflows to inf
+    code, doc, _ = run(capsys, "fn", "classify",
+                       "piece(x <= 0.00000001 ? x^30 : 10^300)")
+    assert code == 0
+    assert doc["quasi_subadditive"]["constants"]["s_star_estimate"] == "inf"
+    # a scan ratio overflows with no image 0: no class is refuted, and the
+    # extended class's sufficient route holds with s = inf
+    source = "piece(x <= 1 ? x^30 : 10^305)"
+    for klass in ("U", "DU", "B", "MB"):
+        code, doc, _ = run(capsys, "member", source, "--class", klass,
+                           "--points", "1200", "--samples", "8000")
+        assert (code, doc["status"]) == (2, "inconclusive"), klass
+    code, doc, _ = run(capsys, "member", source, "--class", "EB",
+                       "--points", "1200")
+    assert code == 0
+    assert doc["constants"]["s"] == "inf"
+    # search still counts the overflow as a witness (ROADMAP item 8)
+    code, doc, _ = run(capsys, "search", source, "--class", "B",
+                       "--points", "1200", "--samples", "8000")
+    assert code == 1
+    assert doc["witness"]["constant"] == "inf"
+    assert 0.0 not in doc["witness"]["images"]
+
+
 @pytest.mark.parametrize("command", ["member", "search"])
 @pytest.mark.parametrize("flags", [("--scale", "1e308"),
                                    ("--x-max", "5e307")])

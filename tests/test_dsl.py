@@ -431,6 +431,9 @@ def assert_scan_agrees(fn, samples):
 
 _NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "10", "0.001", "400",
                             "1/3", _UNDERFLOWS])
+#: piece thresholds: the grammar reads one NUMBER there, so no "1/3"
+_THRESHOLDS = st.sampled_from(["0", "1", "2", "0.5", "3", "10", "0.001",
+                               "400", "0.1", _UNDERFLOWS])
 _XS = st.one_of(st.sampled_from([0.0, 1.0, 1e200]),
                 st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
                 st.floats(min_value=0.0, max_value=50.0))
@@ -450,7 +453,7 @@ def _expressions():
                       st.sampled_from(["min", "max"]),
                       st.lists(inner, min_size=2, max_size=4)),
             st.builds(lambda op, t, p: f"piece(x {op} {t} ? {p[0]} : {p[1]})",
-                      st.sampled_from(["<", "<="]), _NUMBERS, pairs),
+                      st.sampled_from(["<", "<="]), _THRESHOLDS, pairs),
         )
     # the last leaf is inf - inf = NaN at x = 1e200
     leaves = st.one_of(st.sampled_from(["x", "(x * x - x * x)"]), _NUMBERS)

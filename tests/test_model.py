@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
 from gmetrix import (
+    Budget,
     ClassTag,
     DistanceTable,
+    GridSpec,
+    RegionSpec,
     ThetaTable,
     Status,
     Verdict,
@@ -17,16 +21,22 @@ from gmetrix import (
     canonical_dumps,
     check_extended_b,
     check_identity,
+    classify_fn,
     constant_theta,
+    counterexample_search,
     dump_space,
     load_space,
+    membership,
     new_distance_table,
     new_theta_table,
+    parse_fn,
     random_space,
+    region_check,
     space_from_json,
     space_to_json,
 )
 from gmetrix import model
+from gmetrix.preservation import SuiteAssertion, SuiteReport
 from gmetrix.errors import (
     AsymmetricEntry,
     InvalidEntry,
@@ -232,6 +242,62 @@ def test_load_space_maps_decode_failures(tmp_path, content):
 def test_canonical_dumps_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": Fraction(1, 3)})
     assert text == '{\n  "a": "1/3",\n  "b": 1\n}\n'
+
+
+def _reports():
+    """One report of each type that has a `to_json`, with an infinity or a
+    nested report where the type can hold one."""
+    grid = GridSpec(x_max=4.0, n_points=50)
+    budget = Budget(triplet_samples=500, grid=grid)
+    witness = Witness(description="d(x,y) broken", points=("x", "y"),
+                      lhs=Fraction(1, 3), rhs=math.inf,
+                      data={"triplet": (1.0, 2.0, 2.5)})
+    table = new_distance_table(["x", "y"], [[0, "3/2"], ["3/2", 0]])
+    assertion = SuiteAssertion("id", "description", False,
+                               {"s": Fraction(3, 2), "constant": math.inf})
+    region = region_check(parse_fn("ceil(x)"),
+                          RegionSpec(a=1.0, b=1.0, n_max=2))
+    # vanishes past 1, so a sampled triplet has an infinite constant
+    search = counterexample_search(parse_fn("piece(x <= 1 ? x : 0)"),
+                                   ClassTag.B, budget)
+    assert search.constant == math.inf
+    return {
+        "Witness": witness,
+        "Verdict": model.fails(witness, {"s": math.inf}),
+        "DistanceTable": table,
+        "ThetaTable": constant_theta(table.points, "5/4"),
+        "GridSpec": grid,
+        "FnProfile": classify_fn(parse_fn("x^2"), grid),
+        "Budget": budget,
+        "MembershipReport": membership(parse_fn("0"), ClassTag.B, budget),
+        "SearchWitness": search,
+        "SuiteAssertion": assertion,
+        "SuiteReport": SuiteReport(seed=0, assertions=(assertion,)),
+        "IntervalCheck": region.intervals[0],
+        "RegionSpec": region.spec,
+        "RegionReport": region,
+        "RealFn": parse_fn("x"),
+    }
+
+
+def test_every_report_encodes_as_its_to_json():
+    for name, report in _reports().items():
+        doc = report.to_json()
+        assert canonical_dumps(report) == canonical_dumps(doc), name
+        # to_json is fully encoded: plain JSON values only
+        assert json.loads(canonical_dumps(doc)) == doc, name
+
+
+def test_canonical_dumps_writes_an_infinity_as_a_string():
+    text = canonical_dumps({"s": math.inf, "t": [-math.inf, 1.5]})
+    assert json.loads(text) == {"s": "inf", "t": ["-inf", 1.5]}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_dumps({"s": math.nan})
+
+
+def test_encode_value_rejects_an_object_without_to_json():
+    with pytest.raises(TypeError, match="cannot encode"):
+        model.encode_value(object())
 
 
 def test_class_tag_parse():

@@ -273,6 +273,26 @@ def test_an_infinite_image_constant_refutes_amenability(tag):
     assert report.note == "image triplet with an infinite relaxation constant"
 
 
+#: 10^305 past x = 1: the scan's ratio 1e305 / (f(b) + f(c)) overflows to
+#: inf at its 7,884th sample although no image is 0
+OVERFLOWS = "piece(x <= 1 ? x^30 : 10^305)"
+
+
+@pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.U])
+def test_an_overflowing_image_constant_is_inconclusive(tag):
+    budget = Budget(triplet_samples=8000, grid=RUNG_BUDGET.grid, seed=0)
+    report = membership(parse_fn(OVERFLOWS), tag, budget)
+    assert report.status is MembershipStatus.INCONCLUSIVE
+    assert report.basis is None
+    assert report.witness is None
+    assert report.constants["triplet_samples_used"] == 7884
+    assert report.note == (
+        "image triplet (1.198146867118881, 0.47845036906222216, "
+        "0.7196964980566589) maps to (1e+305, 2.4837439234064807e-10, "
+        "5.1818123802510525e-05), whose relaxation constant overflows the "
+        "float range; no image is 0")
+
+
 @pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.MB, ClassTag.U])
 def test_diverging_image_constants_refute_the_relaxed_classes(tag):
     report = membership(parse_fn(SPIKE_PAST_GRID), tag, RUNG_BUDGET)
