@@ -3,11 +3,16 @@
 One kernel answers every question: with the entries scaled to ints by the
 lcm of their denominators, it computes row by row, for each pair (i, j), the
 min-plus bound min_k (d_ik + d_kj) or the min-max bound min_k max(d_ik, d_kj).
-The triangle and ultrametric checks fail at the first pair in row-major order
-above its bound (the extended check scales the bound by theta(i, j)), and stop
-at that row. The optimal constants and minimal theta are ratios of distances
-to bounds, compared as integer cross-products; a Fraction is built only for a
-reported value.
+Each space kind answers by one rule in ``_KINDS``, in ``classify_space`` and
+``verify_as`` alike. Metric (min-plus) and ultrametric (min-max) are checked:
+they fail at the first pair in row-major order above its bound, and stop at
+that row (the extended check of a given theta scales the bound by
+theta(i, j)). On a table passing the identity check the relaxed kinds hold
+with their optimal constant, the largest ratio of a distance to its bound:
+``C_min`` (min-max), ``s_min`` and ``theta_max`` (min-plus; equal, as the
+largest minimal theta entry is the optimal b-constant). Ratios, minimal theta
+among them, are compared as integer cross-products; a Fraction is built only
+for a reported value.
 
 Witness contract: a failing verdict names the lexicographically smallest
 violating triple (i, j, k). Its k comes from re-scanning the failing pair in
@@ -19,8 +24,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from operator import add
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from .errors import (
     IdentityFails,
@@ -40,13 +46,22 @@ from .model import (
 
 _COMBINE = {"sum": add, "max": max}
 
+# kind -> (combine, None if checked against its bound, else the key of the
+# optimal constant it holds with), in ClassTag order
+_KINDS = {
+    ClassTag.METRIC: ("sum", None),
+    ClassTag.ULTRAMETRIC: ("max", None),
+    ClassTag.WEAK_ULTRAMETRIC: ("max", "C_min"),
+    ClassTag.B_METRIC: ("sum", "s_min"),
+    ClassTag.EXTENDED_B_METRIC: ("sum", "theta_max"),
+}
 
-def _scaled(table: DistanceTable) -> tuple[int, list[list[int]]]:
-    """(L, rows) with rows[i][j] = L * d_ij, L the lcm of the denominators."""
+
+def _scaled(table: DistanceTable) -> list[list[int]]:
+    """rows[i][j] = L * d_ij, L the lcm of the denominators."""
     e = table.entries
     scale = math.lcm(*{v.denominator for row in e for v in row})
-    return scale, [[v.numerator * (scale // v.denominator) for v in row]
-                   for row in e]
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in e]
 
 
 def _bounds(rows: list[list[int]], combine: str) -> Iterator[list[int]]:
@@ -99,6 +114,18 @@ def _max_ratio(rows: list[list[int]],
     return Fraction(num, den)
 
 
+def _answer(table: DistanceTable, rows: list[list[int]], kind: ClassTag,
+            bounds: Callable[[str], Iterable[list[int]]],
+            ratio: Callable[[str], Fraction]) -> Verdict:
+    """kind's verdict on a table passing the identity check: bounds(combine)
+    gives the kernel's rows (a check stops at its first failing row) and
+    ratio(combine) their max-ratio."""
+    combine, key = _KINDS[kind]
+    if key is None:
+        return _verdict(table, rows, bounds(combine), combine)
+    return holds({key: ratio(combine)})
+
+
 def check_identity(table: DistanceTable) -> Verdict:
     """d(x, y) = 0 exactly when x = y.
 
@@ -122,13 +149,13 @@ def check_identity(table: DistanceTable) -> Verdict:
 
 def check_triangle(table: DistanceTable) -> Verdict:
     """d(x, y) <= d(x, z) + d(z, y) for every ordered triple."""
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     return _verdict(table, rows, _bounds(rows, "sum"), "sum")
 
 
 def check_ultra(table: DistanceTable) -> Verdict:
     """d(x, y) <= max(d(x, z), d(z, y)) for every ordered triple."""
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     return _verdict(table, rows, _bounds(rows, "max"), "max")
 
 
@@ -145,14 +172,14 @@ def optimal_weak_ultra_constant(table: DistanceTable) -> Fraction:
     force the maximum to be at least 1, and no denominator can vanish).
     """
     _require_identity(table)
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     return _max_ratio(rows, _bounds(rows, "max"))
 
 
 def optimal_b_constant(table: DistanceTable) -> Fraction:
     """Smallest s >= 1 with d(x, y) <= s * (d(x, z) + d(z, y)) throughout."""
     _require_identity(table)
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     return _max_ratio(rows, _bounds(rows, "sum"))
 
 
@@ -164,7 +191,7 @@ def minimal_theta(table: DistanceTable) -> ThetaTable:
     ``check_extended_b`` and none below it does.
     """
     _require_identity(table)
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     one = Fraction(1)
     return ThetaTable(table.points, tuple(
         tuple(Fraction(d, bound) if d > bound else one
@@ -180,7 +207,7 @@ def check_extended_b(table: DistanceTable, theta: ThetaTable) -> Verdict:
     ident = check_identity(table)
     if not ident.holds:
         return ident
-    _, rows = _scaled(table)
+    rows = _scaled(table)
     return _verdict(table, rows, _bounds(rows, "sum"), "sum", theta)
 
 
@@ -196,33 +223,22 @@ def metric_closure(rows: list[list[int]]) -> list[list[int]]:
 
 
 def classify_space(table: DistanceTable) -> Dict[ClassTag, Verdict]:
-    """Verdict per space kind, with optimal constants attached where they exist.
-
-    Every finite table passing the identity check admits finite relaxation
-    constants, so the three relaxed kinds hold automatically with their
-    optimal constants reported; the metric and ultrametric rows depend on the
-    actual triangle checks. The largest minimal theta entry is the optimal
-    b-constant, so both rows report the same number.
-    """
+    """Verdict per space kind, in ``ClassTag`` order; each kernel and each
+    max-ratio is computed once."""
     ident = check_identity(table)
     if ident.fails:
-        return {tag: ident for tag in ClassTag if tag.is_space}
-    _, rows = _scaled(table)
-    plus = list(_bounds(rows, "sum"))
-    maxed = list(_bounds(rows, "max"))
-    s_min = _max_ratio(rows, plus)
-    return {
-        ClassTag.METRIC: _verdict(table, rows, plus, "sum"),
-        ClassTag.ULTRAMETRIC: _verdict(table, rows, maxed, "max"),
-        ClassTag.WEAK_ULTRAMETRIC: holds({"C_min": _max_ratio(rows, maxed)}),
-        ClassTag.B_METRIC: holds({"s_min": s_min}),
-        ClassTag.EXTENDED_B_METRIC: holds({"theta_max": s_min}),
-    }
+        return {kind: ident for kind in _KINDS}
+    rows = _scaled(table)
+    kernels = {c: list(_bounds(rows, c)) for c in _COMBINE}
+    ratios = {c: _max_ratio(rows, kernels[c]) for c in _COMBINE}
+    return {kind: _answer(table, rows, kind, kernels.get, ratios.get)
+            for kind in _KINDS}
 
 
 def verify_as(table: DistanceTable, kind: ClassTag,
               theta: ThetaTable | None = None) -> Verdict:
-    """Targeted check of a single space kind.
+    """Targeted check of a single space kind, by the rule ``classify_space``
+    uses for it.
 
     A caller-provided bound table is honored for the extended kind (and may
     fail); without one the minimal table is implied, so the extended verdict
@@ -236,12 +252,6 @@ def verify_as(table: DistanceTable, kind: ClassTag,
     ident = check_identity(table)
     if ident.fails:
         return ident
-    if kind is ClassTag.METRIC:
-        return check_triangle(table)
-    if kind is ClassTag.ULTRAMETRIC:
-        return check_ultra(table)
-    if kind is ClassTag.WEAK_ULTRAMETRIC:
-        return holds({"C_min": optimal_weak_ultra_constant(table)})
-    # the largest minimal theta entry is the optimal b-constant
-    key = "s_min" if kind is ClassTag.B_METRIC else "theta_max"
-    return holds({key: optimal_b_constant(table)})
+    rows = _scaled(table)
+    return _answer(table, rows, kind, partial(_bounds, rows),
+                   lambda combine: _max_ratio(rows, _bounds(rows, combine)))

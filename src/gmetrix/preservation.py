@@ -201,6 +201,14 @@ _SUPPORTED_CLASSES = frozenset(
 _RELAXED_TRIO = frozenset({ClassTag.DU, ClassTag.B, ClassTag.MB})
 
 
+def _require_supported(class_tag: ClassTag, refusal: str) -> None:
+    # refusal names the request and takes the tag's value
+    if class_tag not in _SUPPORTED_CLASSES:
+        raise UnsupportedClass(
+            refusal.format(getattr(class_tag, "value", class_tag))
+            + " (supported: U, DU, B, MB, EB)")
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     class_tag: ClassTag
@@ -243,6 +251,11 @@ class _TripletScan:
     def diverged(self) -> bool:
         return diverged(self.sup, self.sup_top, self.sup_below)
 
+    @property
+    def overflowed(self) -> bool:
+        # an infinite constant with no image 0 only overflowed the float range
+        return self.infinite is not None and 0.0 not in self.infinite[1]
+
 
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
@@ -275,10 +288,7 @@ def membership(f: RealFn, class_tag: ClassTag,
     b-metric-to-metric classes have no implemented sufficient test and are
     rejected with UnsupportedClass.
     """
-    if class_tag not in _SUPPORTED_CLASSES:
-        raise UnsupportedClass(
-            f"membership for {getattr(class_tag, 'value', class_tag)!r} "
-            "is not decidable here (supported: U, DU, B, MB, EB)")
+    _require_supported(class_tag, "membership for {!r} is not decidable here")
     return _decide(class_tag, _Evidence(f, budget))
 
 
@@ -329,7 +339,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
 
     if scan.infinite is not None:
         t, images = scan.infinite
-        if 0.0 not in images:
+        if scan.overflowed:
             return report(
                 MembershipStatus.INCONCLUSIVE, None, None, constants,
                 f"image triplet {t!r} maps to {images!r}, whose relaxation "
@@ -384,7 +394,7 @@ class SearchWitness:
 
     triplet: tuple[float, float, float]
     images: tuple[float, float, float]
-    constant: float  # inf when a denominator vanishes or a ratio overflows
+    constant: float  # inf when an image is 0
     u: PlanarPoint
     v: PlanarPoint
     w: PlanarPoint
@@ -408,20 +418,20 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
                           budget: Budget = Budget()
                           ) -> Optional[SearchWitness]:
     """Search sampled triangle triplets for an image that defeats every
-    scalar bound (divergence across scale octaves, or an infinite constant).
+    scalar bound (divergence across scale octaves, or an image 0 that makes
+    the constant infinite; a constant that only overflows is no witness).
 
     Absence of a witness is a normal empty return, not evidence of
     membership. A returned witness is realized in the plane, making it a
     concrete three-point metric space whose image violates the relaxation.
     """
-    if class_tag not in _SUPPORTED_CLASSES:
-        raise UnsupportedClass(
-            f"search for {getattr(class_tag, 'value', class_tag)!r} "
-            "is not supported (supported: U, DU, B, MB, EB)")
+    _require_supported(class_tag, "search for {!r} is not supported")
     return _search_witness(_scan_image_triplets(f, budget), budget.seed)
 
 
 def _search_witness(scan: _TripletScan, seed: int) -> Optional[SearchWitness]:
+    if scan.overflowed:
+        return None
     if scan.infinite is not None:
         t, images = scan.infinite
         constant = math.inf

@@ -23,6 +23,7 @@ from gmetrix import (
     random_space,
     verify_as,
 )
+from gmetrix import axioms
 from gmetrix.axioms import metric_closure
 from gmetrix.errors import IdentityFails, PointSetMismatch, UnsupportedKind
 
@@ -280,6 +281,53 @@ def test_verify_as_agrees_with_classify_space():
             assert canonical_dumps(rows[kind].to_json()) == \
                 canonical_dumps(verify_as(table, kind).to_json()), \
                 (table.entries, kind)
+
+
+def _counting_kernel(monkeypatch):
+    """Patch the kernel to record the combine of each start and of each row
+    it yields, and the max-ratio to record each call."""
+    bounds, max_ratio = axioms._bounds, axioms._max_ratio
+    starts, pulled, ratios = [], [], []
+
+    def counted_bounds(rows, combine):
+        starts.append(combine)
+        for row in bounds(rows, combine):
+            pulled.append(combine)
+            yield row
+
+    def counted_max_ratio(rows, bound_rows):
+        ratios.append(None)
+        return max_ratio(rows, bound_rows)
+
+    monkeypatch.setattr(axioms, "_bounds", counted_bounds)
+    monkeypatch.setattr(axioms, "_max_ratio", counted_max_ratio)
+    return starts, pulled, ratios
+
+
+def test_verify_as_stops_the_kernel_at_the_failing_row(monkeypatch):
+    # d(p0, p2) = 10 exceeds 1 + 2 in row 0, so one bound row decides
+    table = table_from([[0, 1, 10], [1, 0, 2], [10, 2, 0]])
+    starts, pulled, ratios = _counting_kernel(monkeypatch)
+    assert verify_as(table, ClassTag.METRIC).fails
+    assert (starts, pulled, ratios) == (["sum"], ["sum"], [])
+
+
+def test_classify_space_computes_each_kernel_and_ratio_once(monkeypatch):
+    starts, _, ratios = _counting_kernel(monkeypatch)
+    for kind in SPACE_KINDS:
+        table = random_space(kind, 6, 1)[0]
+        starts.clear()
+        ratios.clear()
+        classify_space(table)
+        assert sorted(starts) == ["max", "sum"], kind
+        assert len(ratios) == 2, kind
+
+
+def test_classify_space_lists_kinds_in_class_tag_order():
+    # the order in which `space verify` prints them to stderr, also when the
+    # identity axiom fails
+    for entries in ([[0, 3, 4], [3, 0, 5], [4, 5, 0]], [[0, 0], [0, 0]]):
+        assert list(classify_space(table_from(entries))) == SPACE_KINDS
 
 
 def test_check_extended_b_point_set_mismatch():

@@ -663,12 +663,12 @@ def test_an_infinite_constant_is_written_as_inf(capsys):
                        "--points", "1200")
     assert code == 0
     assert doc["constants"]["s"] == "inf"
-    # search still counts the overflow as a witness (ROADMAP item 8)
+    # nor is the overflow a search witness: search finds none, as member
+    # refutes nothing
     code, doc, _ = run(capsys, "search", source, "--class", "B",
                        "--points", "1200", "--samples", "8000")
-    assert code == 1
-    assert doc["witness"]["constant"] == "inf"
-    assert 0.0 not in doc["witness"]["images"]
+    assert code == 2
+    assert doc["witness"] is None
 
 
 @pytest.mark.parametrize("command", ["member", "search"])
