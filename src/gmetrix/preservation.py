@@ -6,27 +6,29 @@ The membership decision ladder is evidence-honest:
   membership outright with a concrete witness;
 * sufficient screens certify membership when their grid-verified premises
   fire (monotone route for the extended class, bounded image-triplet route
-  for the three coinciding relaxed classes);
+  for DU, B and MB alike);
 * everything else stays Inconclusive with the collected evidence.
 
-Scalar divergence refutes the relaxed classes and, through the inclusion of
-ultrametric preservation in them, the ultrametric class too; for the extended
-class it stays Inconclusive because a point-dependent bound table could still
-exist.
+Scalar divergence refutes DU, B and MB and, with the same witness, U; for
+the extended class it stays Inconclusive because a point-dependent bound
+table could still exist. B and MB coincide, but DU is strictly larger and
+U is not contained in MB (ROADMAP item 16), so the U and DU answers of the
+rungs they share with B can be wrong.
 
 The image-triplet scan (last rung, and the search) hands the stream of
 plain (a, b, c) tuples to the expression's generated scan
 (`RealFn.scanner`). It draws each sample, evaluates its entries in order
 with all of `eval_fn`'s checks, scores the images with the formula of
 `triplet_constant`, and stops at the first infinite constant; an entry is
-evaluated only when the scan reaches it. Only a search witness becomes a
+evaluated only when the scan reaches it. The ladder and the search read
+its one refutation, `_TripletScan.hit`. Only a search witness becomes a
 `Triplet`, to be realized in the plane.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -256,6 +258,16 @@ class _TripletScan:
         # an infinite constant with no image 0 only overflowed the float range
         return self.infinite is not None and 0.0 not in self.infinite[1]
 
+    @property
+    def hit(self) -> Optional[tuple[Sample, tuple[float, float, float],
+                                    float]]:
+        """The scan's refutation as (sample, images, constant), or None:
+        the first infinite constant with an image 0, at constant inf, else,
+        once the sups diverge, the first arg-max at the sup."""
+        if self.infinite is not None:
+            return None if self.overflowed else (*self.infinite, math.inf)
+        return (*self.best, self.sup) if self.diverged else None
+
 
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
     scale = budget.effective_scale()
@@ -337,26 +349,28 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
                  "s_star_triplet": max(1.0, scan.sup),
                  "triplet_samples_used": scan.samples_used}
 
-    if scan.infinite is not None:
+    if scan.overflowed:
         t, images = scan.infinite
-        if scan.overflowed:
+        return report(
+            MembershipStatus.INCONCLUSIVE, None, None, constants,
+            f"image triplet {t!r} maps to {images!r}, whose relaxation "
+            "constant overflows the float range; no image is 0")
+    hit = scan.hit
+    if hit is not None:
+        t, images, constant = hit
+        if math.isinf(constant):
+            # f vanishes at a positive argument, so amenability fails after
+            # all; the zero is sought at b, then c, then a
+            x = next(t[i] for i in (1, 2, 0) if images[i] == 0.0)
             return report(
-                MembershipStatus.INCONCLUSIVE, None, None, constants,
-                f"image triplet {t!r} maps to {images!r}, whose relaxation "
-                "constant overflows the float range; no image is 0")
-        # f vanishes at a positive argument, so amenability fails after all;
-        # the zero is sought at b, then c, then a
-        x = next(t[i] for i in (1, 2, 0) if images[i] == 0.0)
-        return report(MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
-                      zero_witness(x, triplet=t, images=images), constants,
-                      "image triplet with an infinite relaxation constant")
-    if scan.diverged:
-        t, images = scan.best
+                MembershipStatus.NON_MEMBER_EVIDENCE, BASIS_AMENABILITY,
+                zero_witness(x, triplet=t, images=images), constants,
+                "image triplet with an infinite relaxation constant")
         witness = Witness(
             description=(f"triangle triplet {t!r} maps to {images!r} with "
-                         f"relaxation constant {scan.sup!r}"),
+                         f"relaxation constant {constant!r}"),
             lhs=max(images), rhs=min(images),
-            data={"triplet": t, "images": images, "constant": scan.sup})
+            data={"triplet": t, "images": images, "constant": constant})
         if class_tag is ClassTag.EB:
             return report(
                 MembershipStatus.INCONCLUSIVE, None, witness, constants,
@@ -430,16 +444,9 @@ def counterexample_search(f: RealFn, class_tag: ClassTag,
 
 
 def _search_witness(scan: _TripletScan, seed: int) -> Optional[SearchWitness]:
-    if scan.overflowed:
+    if scan.hit is None:
         return None
-    if scan.infinite is not None:
-        t, images = scan.infinite
-        constant = math.inf
-    elif scan.diverged:
-        t, images = scan.best
-        constant = scan.sup
-    else:
-        return None
+    t, images, constant = scan.hit
     u, v, w = realize_in_plane(Triplet(*t))
     return SearchWitness(triplet=t, images=images, constant=constant,
                          u=u, v=v, w=w, samples_used=scan.samples_used,
@@ -463,6 +470,7 @@ _SUBADDITIVE_NAMES = ("identity", "saturating-ratio", "unit-clamp",
                       "square-root", "ceiling")
 _MONOTONE_AMENABLE_NAMES = ("identity", "saturating-ratio", "unit-clamp",
                             "square-root", "square", "ceiling")
+_REFUTED_NAMES = ("exp-minus-one", "zero")
 
 
 @dataclass(frozen=True)
@@ -489,11 +497,11 @@ class SuiteReport:
                 "assertions": [item.to_json() for item in self.assertions]}
 
 
-def _generated_tables(kind: ClassTag, first_seed: int) -> list[DistanceTable]:
-    """Six generated tables of each size from 2 to 6 points, seeded in turn
-    from first_seed; built once and shared by every function a check runs."""
-    return [random_space(kind, n, first_seed + i)[0]
-            for i, (n, _) in enumerate(product(range(2, 7), range(6)))]
+def _sweep(kind: ClassTag, per_size: int, first_seed: int):
+    """(table, theta) of per_size generated spaces of each size from 2 to 6
+    points, seeded in turn from first_seed."""
+    return [random_space(kind, n, first_seed + i)
+            for i, (n, _) in enumerate(product(range(2, 7), range(per_size)))]
 
 
 def theorem_suite(seed: int = 0) -> SuiteReport:
@@ -507,6 +515,10 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
     """
     base = seed * 1000
     catalog = {name: parse_fn(source) for name, source in FUNCTION_CATALOG}
+    # the catalog's scan budget; the step function's differs in its seed
+    budget = Budget(triplet_samples=6000,
+                    grid=GridSpec(x_max=20.0, n_points=1200, seed=seed),
+                    seed=base + 800)
     checks: list[SuiteAssertion] = []
 
     def run(assert_id: str, description: str, body) -> None:
@@ -518,15 +530,15 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
                                      dict(details)))
 
     def ultrametrics_unit_constant():
-        for i, (n, _) in enumerate(product(range(2, 7), range(40))):
-            table, _theta = random_space(ClassTag.ULTRAMETRIC, n, base + i)
+        spaces = _sweep(ClassTag.ULTRAMETRIC, 40, base)
+        for i, (table, _theta) in enumerate(spaces):
             if not axioms.check_ultra(table).holds:
                 return False, {"space": i, "reason": "ultra axiom"}
             if not axioms.check_triangle(table).holds:
                 return False, {"space": i, "reason": "triangle"}
             if axioms.optimal_weak_ultra_constant(table) != 1:
                 return False, {"space": i, "reason": "constant above 1"}
-        return True, {"spaces": 200}
+        return True, {"spaces": len(spaces)}
 
     run("ultrametric-unit-constant",
         "generated ultrametrics satisfy the max inequality with optimal "
@@ -534,13 +546,13 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         ultrametrics_unit_constant)
 
     def metrics_unit_relaxation():
-        for i, (n, _) in enumerate(product(range(2, 7), range(40))):
-            table, _theta = random_space(ClassTag.METRIC, n, base + i)
+        spaces = _sweep(ClassTag.METRIC, 40, base)
+        for i, (table, _theta) in enumerate(spaces):
             if not axioms.check_triangle(table).holds:
                 return False, {"space": i, "reason": "triangle"}
             if axioms.optimal_b_constant(table) != 1:
                 return False, {"space": i, "reason": "relaxation above 1"}
-        return True, {"spaces": 200}
+        return True, {"spaces": len(spaces)}
 
     run("metric-unit-relaxation",
         "generated metrics satisfy the sum inequality with optimal "
@@ -549,8 +561,8 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     def scalar_bound_tightness():
         nontrivial = 0
-        for i, (n, _) in enumerate(product(range(2, 7), range(20))):
-            table, _theta = random_space(ClassTag.B_METRIC, n, base + i)
+        spaces = _sweep(ClassTag.B_METRIC, 20, base)
+        for i, (table, _theta) in enumerate(spaces):
             s = axioms.optimal_b_constant(table)
             cover = constant_theta(table.points, s)
             if not axioms.check_extended_b(table, cover).holds:
@@ -562,7 +574,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
                 if not axioms.check_extended_b(table, below).fails:
                     return False, {"space": i,
                                    "reason": "sub-optimal s accepted"}
-        return True, {"spaces": 100, "nontrivial": nontrivial}
+        return True, {"spaces": len(spaces), "nontrivial": nontrivial}
 
     run("scalar-bound-tightness",
         "the optimal scalar relaxation of a generated b-space works as a "
@@ -571,9 +583,8 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     def pointwise_bounds_cover():
         shrunk_checked = 0
-        for i, (n, _) in enumerate(product(range(2, 7), range(20))):
-            table, theta = random_space(ClassTag.EXTENDED_B_METRIC, n,
-                                        base + i)
+        spaces = _sweep(ClassTag.EXTENDED_B_METRIC, 20, base)
+        for i, (table, theta) in enumerate(spaces):
             if not axioms.check_extended_b(table, theta).holds:
                 return False, {"space": i, "reason": "attached bound rejected"}
             if theta.max_entry() > 1:
@@ -584,7 +595,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
                 if not axioms.check_extended_b(table, below).fails:
                     return False, {"space": i,
                                    "reason": "shrunk bounds accepted"}
-        return True, {"spaces": 100, "shrunk_checked": shrunk_checked}
+        return True, {"spaces": len(spaces), "shrunk_checked": shrunk_checked}
 
     run("pointwise-bounds-cover",
         "the minimal pointwise bound table attached to generated extended "
@@ -627,10 +638,10 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         scalar_pointwise_agreement)
 
     def monotone_preserves_ultra():
-        tables = _generated_tables(ClassTag.ULTRAMETRIC, base + 300)
+        spaces = _sweep(ClassTag.ULTRAMETRIC, 6, base + 300)
         for name in _MONOTONE_AMENABLE_NAMES:
             f = catalog[name]
-            for i, table in enumerate(tables):
+            for i, (table, _theta) in enumerate(spaces):
                 image = pushforward(f, table)
                 if not axioms.check_identity(image).holds:
                     return False, {"fn": name, "space": i,
@@ -641,7 +652,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
                     return False, {"fn": name, "space": i,
                                    "reason": "constant above 1"}
         return True, {"functions": len(_MONOTONE_AMENABLE_NAMES),
-                      "spaces_each": 30}
+                      "spaces_each": len(spaces)}
 
     run("monotone-preserves-ultrametric",
         "amenable nondecreasing catalog functions push generated "
@@ -649,42 +660,28 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         monotone_preserves_ultra)
 
     def catalog_membership_statuses():
-        budget = Budget(triplet_samples=6000,
-                        grid=GridSpec(x_max=20.0, n_points=1200, seed=seed),
-                        seed=base + 800)
-        member = MembershipStatus.MEMBER
-        refuted = MembershipStatus.NON_MEMBER_EVIDENCE
-        expected = {
-            "identity": (member, member),
-            "saturating-ratio": (member, member),
-            "unit-clamp": (member, member),
-            "square-root": (member, member),
-            "square": (member, member),
-            "exp-minus-one": (refuted, refuted),
-            "zero": (refuted, refuted),
-            "ceiling": (member, member),
-        }
         screened = 0
-        for name, (want_b, want_eb) in expected.items():
-            evidence = _Evidence(catalog[name], budget)
+        for name, f in catalog.items():
+            # B and EB agree: two catalog functions are refuted, the rest
+            # are members
+            want = (MembershipStatus.NON_MEMBER_EVIDENCE
+                    if name in _REFUTED_NAMES else MembershipStatus.MEMBER)
+            evidence = _Evidence(f, budget)
             got_b = _decide(ClassTag.B, evidence).status
             got_eb = _decide(ClassTag.EB, evidence).status
-            if (got_b, got_eb) != (want_b, want_eb):
+            if (got_b, got_eb) != (want, want):
                 return False, {"fn": name,
                                "b": got_b.value, "eb": got_eb.value,
-                               "expected_b": want_b.value,
-                               "expected_eb": want_eb.value}
-            if got_b is member and got_eb is not member:
-                return False, {"fn": name,
-                               "reason": "b membership without extended"}
-            if member in (got_b, got_eb):
+                               "expected_b": want.value,
+                               "expected_eb": want.value}
+            if want is MembershipStatus.MEMBER:
                 # every certified member must pass the necessary screens
                 profile = evidence.profile
                 if not profile.amenable.holds or profile.quasi_subadditive.fails:
                     return False, {"fn": name,
                                    "reason": "member fails a necessary screen"}
                 screened += 1
-        return True, {"functions": len(expected), "screened": screened}
+        return True, {"functions": len(catalog), "screened": screened}
 
     run("catalog-membership-statuses",
         "membership statuses across the catalog match the known lattice "
@@ -694,10 +691,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     def step_function_is_relaxed_member():
         f = parse_fn("piece(x <= 0 ? 0 : piece(x <= 1 ? 1 : 4))")
-        budget = Budget(triplet_samples=6000,
-                        grid=GridSpec(x_max=20.0, n_points=1200, seed=seed),
-                        seed=base + 900)
-        evidence = _Evidence(f, budget)
+        evidence = _Evidence(f, replace(budget, seed=base + 900))
         reports = [_decide(tag, evidence)
                    for tag in (ClassTag.DU, ClassTag.B, ClassTag.MB)]
         for rep in reports:
@@ -707,7 +701,7 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
             if rep.constants.get("s") != 2.0:
                 return False, {"class": rep.class_tag.value,
                                "s": rep.constants.get("s")}
-        witness = _search_witness(evidence.scan, budget.seed)
+        witness = _search_witness(evidence.scan, evidence.budget.seed)
         if witness is not None:
             return False, {"reason": "search produced a spurious witness",
                            "constant": witness.constant}
@@ -753,13 +747,13 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
 
     def amenable_preserves_positivity():
         names = ("saturating-ratio", "unit-clamp", "square-root", "square")
-        tables = _generated_tables(ClassTag.METRIC, base + 700)
+        spaces = _sweep(ClassTag.METRIC, 6, base + 700)
         for name in names:
             f = catalog[name]
-            for i, table in enumerate(tables):
+            for i, (table, _theta) in enumerate(spaces):
                 if not axioms.check_identity(pushforward(f, table)).holds:
                     return False, {"fn": name, "space": i}
-        return True, {"functions": len(names), "spaces_each": 30}
+        return True, {"functions": len(names), "spaces_each": len(spaces)}
 
     run("amenable-preserves-positivity",
         "amenable catalog functions keep distinct points at positive "

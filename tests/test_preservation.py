@@ -322,6 +322,38 @@ def test_diverging_image_constants_leave_the_extended_class_open():
         "point-dependent bound table could still exist")
 
 
+@pytest.mark.parametrize("source,tag,samples,status,triplet,constant,used", [
+    (VANISHES_PAST_GRID, ClassTag.B, 6000,
+     MembershipStatus.NON_MEMBER_EVIDENCE, (2.0, 32.0, 32.0), math.inf, 46),
+    (SPIKE_PAST_GRID, ClassTag.B, 6000, MembershipStatus.NON_MEMBER_EVIDENCE,
+     (2.0, 28.0, 30.0), 1e9 / 30.0, 6000),
+    (DECREASING_SPIKE, ClassTag.EB, 6000, MembershipStatus.INCONCLUSIVE,
+     (30.0, 40.0, 40.0), 1e9 / 2.05, 6000),
+    (OVERFLOWS, ClassTag.B, 8000, MembershipStatus.INCONCLUSIVE,
+     None, None, None),
+])
+def test_member_and_search_read_one_scan_refutation(source, tag, samples,
+                                                    status, triplet,
+                                                    constant, used):
+    f = parse_fn(source)
+    budget = Budget(triplet_samples=samples, grid=RUNG_BUDGET.grid, seed=0)
+    report = membership(f, tag, budget)
+    found = counterexample_search(f, tag, budget)
+    assert report.status is status
+    if triplet is None:  # an overflow refutes nothing
+        assert report.witness is None
+        assert found is None
+        return
+    data = report.witness.data
+    assert (data["triplet"], data["images"],
+            report.constants["triplet_samples_used"]) \
+        == (found.triplet, found.images, found.samples_used)
+    assert (found.triplet, found.constant, found.samples_used) \
+        == (triplet, constant, used)
+    # a zero witness names its x, not the infinite constant
+    assert data.get("constant", math.inf) == constant
+
+
 @pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.EB, ClassTag.U,
                                  ClassTag.DU])
 def test_unproven_premises_leave_membership_open(tag):
