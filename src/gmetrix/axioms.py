@@ -1,18 +1,18 @@
 """Exact axiom checks and optimal relaxation constants for distance tables.
 
-One kernel answers every question: with the entries scaled to ints by the
-lcm of their denominators, it computes row by row, for each pair (i, j), the
-min-plus bound min_k (d_ik + d_kj) or the min-max bound min_k max(d_ik, d_kj).
-Each space kind answers by one rule in ``_KINDS``, in ``classify_space`` and
-``verify_as`` alike. Metric (min-plus) and ultrametric (min-max) are checked:
-they fail at the first pair in row-major order above its bound, and stop at
-that row (the extended check of a given theta scales the bound by
-theta(i, j)). On a table passing the identity check the relaxed kinds hold
-with their optimal constant, the largest ratio of a distance to its bound:
-``C_min`` (min-max), ``s_min`` and ``theta_max`` (min-plus; equal, as the
-largest minimal theta entry is the optimal b-constant). Ratios, minimal theta
-among them, are compared as integer cross-products; a Fraction is built only
-for a reported value.
+One kernel answers every question: on the table's integer form (entries
+times the lcm of their denominators, kept by the table), it computes row by
+row, for each pair (i, j), the min-plus bound min_k (d_ik + d_kj) or the
+min-max bound min_k max(d_ik, d_kj). Each space kind answers by one rule in
+``_KINDS``, in ``classify_space`` and ``verify_as`` alike. Metric (min-plus)
+and ultrametric (min-max) are checked: they fail at the first pair in
+row-major order above its bound, and stop at that row (the extended check of
+a given theta scales the bound by theta's own integer form). On a table
+passing the identity check the relaxed kinds hold with their optimal
+constant, the largest ratio of a distance to its bound: ``C_min`` (min-max),
+``s_min`` and ``theta_max`` (min-plus; equal, as the largest minimal theta
+entry is the optimal b-constant). Ratios, minimal theta among them, are
+compared as integer cross-products; a Fraction is built only when reported.
 
 Witness contract: a failing verdict names the lexicographically smallest
 violating triple (i, j, k). Its k comes from re-scanning the failing pair in
@@ -22,11 +22,10 @@ violated inequality.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     IdentityFails,
@@ -57,34 +56,28 @@ _KINDS = {
 }
 
 
-def _scaled(table: DistanceTable) -> list[list[int]]:
-    """rows[i][j] = L * d_ij, L the lcm of the denominators."""
-    e = table.entries
-    scale = math.lcm(*{v.denominator for row in e for v in row})
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in e]
-
-
-def _bounds(rows: list[list[int]], combine: str) -> Iterator[list[int]]:
+def _bounds(rows: Sequence[Sequence[int]],
+            combine: str) -> Iterator[list[int]]:
     """The kernel: row i of min over k of combine(d_ik, d_kj), for every j."""
     through = _COMBINE[combine]
     for row_i in rows:
         yield [min(map(through, row_i, row_j)) for row_j in rows]
 
 
-def _verdict(table: DistanceTable, rows: list[list[int]],
-             bound_rows: Iterable[list[int]], combine: str,
-             theta: Optional[ThetaTable] = None) -> Verdict:
+def _verdict(table: DistanceTable, bound_rows: Iterable[list[int]],
+             combine: str, theta: Optional[ThetaTable] = None) -> Verdict:
     """Fails at the first pair in row-major order with d_ij above
     theta_ij * bound_ij; the witness re-scans that pair for its first k."""
-    ts = [[1] * table.n] * table.n if theta is None else theta.entries
+    rows = table.rows
+    scale, ts = ((1, [[1] * table.n] * table.n) if theta is None
+                 else (theta.scale, theta.rows))
     found = next(((i, j) for i, bounds in enumerate(bound_rows)
                   for j, bound in enumerate(bounds)
-                  if rows[i][j] * ts[i][j].denominator
-                  > ts[i][j].numerator * bound), None)
+                  if rows[i][j] * scale > ts[i][j] * bound), None)
     if found is None:
         return holds()
     i, j = found
-    t = ts[i][j]
+    t = 1 if theta is None else theta.entries[i][j]
     e = table.entries
     through = _COMBINE[combine]
     k = next(k for k in range(table.n)
@@ -102,7 +95,7 @@ def _verdict(table: DistanceTable, rows: list[list[int]],
                          points=(x, y, z), lhs=lhs, rhs=rhs, data=data))
 
 
-def _max_ratio(rows: list[list[int]],
+def _max_ratio(rows: Sequence[Sequence[int]],
                bound_rows: Iterable[list[int]]) -> Fraction:
     """max(1, max over pairs of d_ij / bound_ij); bounds are positive off the
     diagonal once the identity axiom holds, and 0 / 0 on it never wins."""
@@ -114,7 +107,7 @@ def _max_ratio(rows: list[list[int]],
     return Fraction(num, den)
 
 
-def _answer(table: DistanceTable, rows: list[list[int]], kind: ClassTag,
+def _answer(table: DistanceTable, kind: ClassTag,
             bounds: Callable[[str], Iterable[list[int]]],
             ratio: Callable[[str], Fraction]) -> Verdict:
     """kind's verdict on a table passing the identity check: bounds(combine)
@@ -122,7 +115,7 @@ def _answer(table: DistanceTable, rows: list[list[int]], kind: ClassTag,
     ratio(combine) their max-ratio."""
     combine, key = _KINDS[kind]
     if key is None:
-        return _verdict(table, rows, bounds(combine), combine)
+        return _verdict(table, bounds(combine), combine)
     return holds({key: ratio(combine)})
 
 
@@ -135,7 +128,7 @@ def check_identity(table: DistanceTable) -> Verdict:
     n = table.n
     for i in range(n):
         for j in range(i + 1, n):
-            if table.entries[i][j] == 0:
+            if not table.rows[i][j]:
                 x, y = table.points[i], table.points[j]
                 return fails(Witness(
                     description=f"d({x},{y}) = 0 although {x} != {y}",
@@ -149,14 +142,12 @@ def check_identity(table: DistanceTable) -> Verdict:
 
 def check_triangle(table: DistanceTable) -> Verdict:
     """d(x, y) <= d(x, z) + d(z, y) for every ordered triple."""
-    rows = _scaled(table)
-    return _verdict(table, rows, _bounds(rows, "sum"), "sum")
+    return _verdict(table, _bounds(table.rows, "sum"), "sum")
 
 
 def check_ultra(table: DistanceTable) -> Verdict:
     """d(x, y) <= max(d(x, z), d(z, y)) for every ordered triple."""
-    rows = _scaled(table)
-    return _verdict(table, rows, _bounds(rows, "max"), "max")
+    return _verdict(table, _bounds(table.rows, "max"), "max")
 
 
 def _require_identity(table: DistanceTable) -> None:
@@ -172,15 +163,13 @@ def optimal_weak_ultra_constant(table: DistanceTable) -> Fraction:
     force the maximum to be at least 1, and no denominator can vanish).
     """
     _require_identity(table)
-    rows = _scaled(table)
-    return _max_ratio(rows, _bounds(rows, "max"))
+    return _max_ratio(table.rows, _bounds(table.rows, "max"))
 
 
 def optimal_b_constant(table: DistanceTable) -> Fraction:
     """Smallest s >= 1 with d(x, y) <= s * (d(x, z) + d(z, y)) throughout."""
     _require_identity(table)
-    rows = _scaled(table)
-    return _max_ratio(rows, _bounds(rows, "sum"))
+    return _max_ratio(table.rows, _bounds(table.rows, "sum"))
 
 
 def minimal_theta(table: DistanceTable) -> ThetaTable:
@@ -191,12 +180,11 @@ def minimal_theta(table: DistanceTable) -> ThetaTable:
     ``check_extended_b`` and none below it does.
     """
     _require_identity(table)
-    rows = _scaled(table)
     one = Fraction(1)
     return ThetaTable(table.points, tuple(
         tuple(Fraction(d, bound) if d > bound else one
               for d, bound in zip(row, bounds))
-        for row, bounds in zip(rows, _bounds(rows, "sum"))))
+        for row, bounds in zip(table.rows, _bounds(table.rows, "sum"))))
 
 
 def check_extended_b(table: DistanceTable, theta: ThetaTable) -> Verdict:
@@ -207,8 +195,7 @@ def check_extended_b(table: DistanceTable, theta: ThetaTable) -> Verdict:
     ident = check_identity(table)
     if not ident.holds:
         return ident
-    rows = _scaled(table)
-    return _verdict(table, rows, _bounds(rows, "sum"), "sum", theta)
+    return _verdict(table, _bounds(table.rows, "sum"), "sum", theta)
 
 
 def metric_closure(rows: list[list[int]]) -> list[list[int]]:
@@ -228,10 +215,9 @@ def classify_space(table: DistanceTable) -> Dict[ClassTag, Verdict]:
     ident = check_identity(table)
     if ident.fails:
         return {kind: ident for kind in _KINDS}
-    rows = _scaled(table)
-    kernels = {c: list(_bounds(rows, c)) for c in _COMBINE}
-    ratios = {c: _max_ratio(rows, kernels[c]) for c in _COMBINE}
-    return {kind: _answer(table, rows, kind, kernels.get, ratios.get)
+    kernels = {c: list(_bounds(table.rows, c)) for c in _COMBINE}
+    ratios = {c: _max_ratio(table.rows, kernels[c]) for c in _COMBINE}
+    return {kind: _answer(table, kind, kernels.get, ratios.get)
             for kind in _KINDS}
 
 
@@ -252,6 +238,5 @@ def verify_as(table: DistanceTable, kind: ClassTag,
     ident = check_identity(table)
     if ident.fails:
         return ident
-    rows = _scaled(table)
-    return _answer(table, rows, kind, partial(_bounds, rows),
-                   lambda combine: _max_ratio(rows, _bounds(rows, combine)))
+    return _answer(table, kind, partial(_bounds, table.rows),
+                   lambda c: _max_ratio(table.rows, _bounds(table.rows, c)))

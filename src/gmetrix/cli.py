@@ -324,6 +324,17 @@ def _cmd_realize(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+def _grid_flags(parser, grid: GridSpec, seed_flag: str) -> None:
+    """The flags of a GridSpec, each defaulting to `grid`'s value."""
+    parser.add_argument("--x-max", dest="x_max", type=_positive_float,
+                        default=grid.x_max,
+                        help="grid upper end (default %(default)s)")
+    parser.add_argument("--points", type=_positive_int, default=grid.n_points,
+                        help="grid point count (default %(default)s)")
+    parser.add_argument(seed_flag, type=int, default=grid.seed,
+                        help="grid sampling seed (default %(default)s)")
+
+
 @cache  # built once per process; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gmetrix",
@@ -351,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     fn_sub = fn.add_subparsers(dest="fn_command", required=True)
     fc = fn_sub.add_parser("classify", help="profile an expression on a grid")
     fc.add_argument("expr", type=_expression)
-    fc.add_argument("--x-max", dest="x_max", type=_positive_float,
-                    default=20.0)
-    fc.add_argument("--points", type=_positive_int, default=2000)
-    fc.add_argument("--seed", type=int, default=1)
+    _grid_flags(fc, GridSpec(), "--seed")
     fc.add_argument("--plateau-b", dest="plateau_b", type=_positive_float,
                     default=None, help="verify a plateau on (0, b]")
     fc.set_defaults(handler=_cmd_fn_classify)
@@ -377,16 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
         ms.add_argument("expr", type=_expression)
         ms.add_argument("--class", dest="klass", type=_function_class,
                         required=True)
-        ms.add_argument("--samples", type=_positive_int, default=100_000,
-                        help="triangle triplet budget (default 100000)")
-        ms.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
-        ms.add_argument("--x-max", dest="x_max", type=_positive_float,
-                        default=20.0, help="grid upper end (default 20)")
-        ms.add_argument("--points", type=_positive_int, default=10_000,
-                        help="grid point count (default 10000)")
-        ms.add_argument("--grid-seed", dest="grid_seed", type=int, default=1,
-                        help="grid sampling seed (default 1)")
+        ms.add_argument("--samples", type=_positive_int,
+                        default=Budget.triplet_samples,
+                        help="triangle triplet budget (default %(default)s)")
+        ms.add_argument("--seed", type=int, default=Budget.seed,
+                        help="sampling seed (default %(default)s)")
+        _grid_flags(ms, Budget.grid, "--grid-seed")
         ms.add_argument("--scale", type=_positive_float, default=None,
                         help="triplet entry scale (default 2 * x-max)")
         ms.set_defaults(handler=handler)
@@ -406,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plateau edge")
         rp.add_argument("--n", type=_positive_int, required=True,
                         help="number of intervals to check")
-        rp.add_argument("--samples", type=_positive_int, default=16,
-                        help="samples per interval (default 16)")
+        rp.add_argument("--samples", type=_positive_int,
+                        default=RegionSpec.samples_per_interval,
+                        help="samples per interval (default %(default)s)")
         if name == "plot":
             rp.add_argument("-o", dest="out", default="region.svg",
                             help="output SVG path (default region.svg)")

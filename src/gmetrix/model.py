@@ -265,7 +265,10 @@ class _RationalTable:
     """The one validation of both table kinds, raising in this order: shape;
     each entry in row-major order a Fraction of at least `_FLOOR`, else
     `_below_floor(i, j, value)`; a zero diagonal if `_ZERO_DIAGONAL`;
-    symmetry. `_LABEL` names an entry in the messages."""
+    symmetry. `_LABEL` names an entry in the messages. The last two run on
+    the integer form the table keeps for the axiom checks, set outside the
+    fields: `scale`, the lcm of the denominators, and `rows`, with
+    rows[i][j] = scale * entries[i][j]."""
 
     points: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
@@ -279,16 +282,21 @@ class _RationalTable:
                 if not isinstance(value, Fraction):
                     raise InvalidEntry(f"{label}[{i}][{j}] = "
                                        f"{exact_repr(value)} is not a Fraction")
-                if value < floor:
+                if value.numerator < floor * value.denominator:
                     raise self._below_floor(i, j, value)
+        scale = math.lcm(*{v.denominator for row in entries for v in row})
+        rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                     for row in entries)
         if self._ZERO_DIAGONAL:
-            for i, row in enumerate(entries):
-                if row[i] != 0:
-                    raise NonzeroDiagonal(i, row[i])
-        for i, row in enumerate(entries):
+            for i, row in enumerate(rows):
+                if row[i]:
+                    raise NonzeroDiagonal(i, entries[i][i])
+        for i, row in enumerate(rows):
             for j in range(i + 1, len(row)):
-                if row[j] != entries[j][i]:
-                    raise AsymmetricEntry(i, j, row[j], entries[j][i])
+                if row[j] != rows[j][i]:
+                    raise AsymmetricEntry(i, j, entries[i][j], entries[j][i])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:

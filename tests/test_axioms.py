@@ -34,6 +34,7 @@ from oracles import (
     brute_shortest_paths,
     brute_weak_ultra_constant,
     ordered_triples,
+    primes_from,
     random_positive_table,
     random_prime_table,
 )
@@ -182,6 +183,65 @@ def test_witnesses_name_the_first_violation(n):
             assert witness.points == (f"p{i}", f"p{j}", f"p{k}")
             assert (witness.lhs, witness.rhs) == (lhs, rhs)
     assert failures >= 12
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_given_theta_with_its_own_prime_denominators(n):
+    # theta entries with large prime denominators of their own, unrelated to
+    # the table's: the comparison d_ij * L_theta > theta_ij * bound must
+    # agree with the brute force in Fractions, holding just above the
+    # minimal table and failing just below it at one pair
+    failures = shrinkable = 0
+    for seed in range(4):
+        entries = random_prime_table(n, seed)
+        table = table_from(entries)
+        minimal = brute_minimal_theta(entries)
+        primes = iter(primes_from(10 ** 7 + 97 * seed, n * n + 1))
+        above = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                above[i][j] = above[j][i] = minimal[i][j] + Fraction(
+                    1, next(primes))
+        i, j = max(((i, j) for i in range(n) for j in range(i + 1, n)),
+                   key=lambda pair: minimal[pair[0]][pair[1]])
+        below = [list(row) for row in above]
+        p = next(primes)
+        shrink = Fraction(p - 1, p)
+        below[i][j] = below[j][i] = 1 + (minimal[i][j] - 1) * shrink
+        shrinkable += minimal[i][j] > 1
+        for theta in (above, below):
+            given = new_theta_table(table.points, theta)
+            assert given.scale > 10 ** 7
+            verdict = check_extended_b(table, given)
+            assert (verify_as(table, ClassTag.EXTENDED_B_METRIC, given)
+                    == verdict)
+            expected = brute_first_violation(entries, "sum", theta)
+            if expected is None:
+                assert verdict.holds
+                continue
+            failures += 1
+            i0, j0, k, lhs, rhs = expected
+            assert (i0, j0) == (min(i, j), max(i, j))
+            assert verdict.fails
+            assert verdict.witness.data == {"i": i0, "j": j0, "k": k,
+                                            "theta": theta[i0][j0]}
+            assert (verdict.witness.lhs, verdict.witness.rhs) == (lhs, rhs)
+        rows = classify_space(table)
+        assert rows[ClassTag.WEAK_ULTRAMETRIC].constants == {
+            "C_min": brute_weak_ultra_constant(entries)}
+        assert rows[ClassTag.B_METRIC].constants == {
+            "s_min": brute_b_constant(entries)}
+        assert rows[ClassTag.EXTENDED_B_METRIC].constants == {
+            "theta_max": max(map(max, minimal))}
+        for kind, combine in ((ClassTag.METRIC, "sum"),
+                              (ClassTag.ULTRAMETRIC, "max")):
+            first = brute_first_violation(entries, combine)
+            assert rows[kind].holds is (first is None)
+            if first is not None:
+                assert rows[kind].witness.data == {
+                    "i": first[0], "j": first[1], "k": first[2],
+                    "combine": combine}
+    assert failures == shrinkable >= 2
 
 
 def test_minimal_theta_dominates_and_is_tight():

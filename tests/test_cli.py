@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import gmetrix
-from gmetrix.cli import MAX_RANDOM_POINTS, main
+from gmetrix.cli import MAX_RANDOM_POINTS, _budget_from, build_parser, main
 from test_dsl import _XS, _expressions
 
 
@@ -704,6 +704,21 @@ def test_grid_flags_out_of_range_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 64
     assert f"usage error: {message}" in err
+
+
+def test_flag_defaults_are_the_spec_defaults():
+    # each default is read from its spec, so the flags and the library agree
+    parser = build_parser()
+    for command in ("member", "search"):
+        args = parser.parse_args([command, "x", "--class", "B"])
+        assert _budget_from(args) == gmetrix.Budget()
+    args = parser.parse_args(["fn", "classify", "x"])
+    assert gmetrix.GridSpec(x_max=args.x_max, n_points=args.points,
+                            seed=args.seed) == gmetrix.GridSpec()
+    for command in ("check", "plot"):
+        args = parser.parse_args(["region", command, "x", "--a", "1",
+                                  "--b", "1", "--n", "3"])
+        assert args.samples == gmetrix.RegionSpec(1, 1, 3).samples_per_interval
 
 
 def test_suite_is_reproducible(capsys):

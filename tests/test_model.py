@@ -1,5 +1,6 @@
 """Distance tables, JSON documents, tags, and the seeded space generators."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -178,6 +179,48 @@ def test_table_errors_keep_their_order():
         new_theta_table(["x", "y"], [[1, 2], [3, 1]])
     with pytest.raises(InvalidEntry, match=r"theta\[1\]\[0\]"):
         ThetaTable(("x", "y"), ((Fraction(1), Fraction(2)), (2, Fraction(1))))
+    # the floor test is exact at the boundary and for huge denominators
+    with pytest.raises(InvalidTheta, match="999999/1000000 is below 1"):
+        new_theta_table(["x", "y"], [[1, "999999/1000000"],
+                                     ["999999/1000000", 1]])
+    assert new_theta_table(["x", "y"], [[1, 1], [1, 1]]).scale == 1
+    tiny = Fraction(-1, 10 ** 60 + 7)
+    with pytest.raises(NegativeEntry) as raised:
+        new_distance_table(["x", "y"], [[0, tiny], [tiny, 0]])
+    assert raised.value.value == tiny
+    # an asymmetry earlier in row-major order still loses to the diagonal,
+    # and each error carries the Fraction values, not the scaled ints
+    with pytest.raises(NonzeroDiagonal) as raised:
+        new_distance_table(["x", "y", "z"],
+                           [[0, "1/3", 1], ["1/2", 0, 1], [1, 1, "1/5"]])
+    assert (raised.value.i, raised.value.value) == (2, Fraction(1, 5))
+    with pytest.raises(AsymmetricEntry) as raised:
+        new_distance_table(["x", "y"], [[0, "1/3"], ["1/2", 0]])
+    assert (raised.value.left, raised.value.right) == (Fraction(1, 3),
+                                                       Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind, build", [(DistanceTable, new_distance_table),
+                                         (ThetaTable, new_theta_table)])
+def test_table_keeps_an_invisible_integer_form(kind, build):
+    floor = 0 if kind is DistanceTable else 1
+    primes = (1_000_003, 1_000_033, 1_000_037)
+    entries = [[Fraction(floor)] * 3 for _ in range(3)]
+    for (i, j), p in zip(((0, 1), (0, 2), (1, 2)), primes):
+        entries[i][j] = entries[j][i] = floor + Fraction(p + 1, p)
+    table = build(["x", "y", "z"], entries)
+    assert table.scale == math.lcm(*primes)
+    assert all(table.rows[i][j] == table.scale * entries[i][j]
+               and isinstance(table.rows[i][j], int)
+               for i in range(3) for j in range(3))
+    # built again from text, the table is the same in every visible way
+    twin = build(["x", "y", "z"], [[exact_text(v) for v in row]
+                                   for row in entries])
+    assert twin == table and hash(twin) == hash(table)
+    assert canonical_dumps(twin) == canonical_dumps(table)
+    assert [f.name for f in dataclasses.fields(table)] == ["points",
+                                                           "entries"]
+    assert repr(twin) == repr(table)
 
 
 @pytest.mark.parametrize("text", ["1e999999999", "1E-999999999",
