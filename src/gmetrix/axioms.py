@@ -1,18 +1,26 @@
 """Exact axiom checks and optimal relaxation constants for distance tables.
 
 One kernel answers every question: on the table's integer form (entries
-times the lcm of their denominators, kept by the table), it computes row by
-row, for each pair (i, j), the min-plus bound min_k (d_ik + d_kj) or the
-min-max bound min_k max(d_ik, d_kj). Each space kind answers by one rule in
-``_KINDS``, in ``classify_space`` and ``verify_as`` alike. Metric (min-plus)
-and ultrametric (min-max) are checked: they fail at the first pair in
-row-major order above its bound, and stop at that row (the extended check of
-a given theta scales the bound by theta's own integer form). On a table
+times the lcm of their denominators, kept by the table), it computes, for
+each pair (i, j), the min-plus bound min_k (d_ik + d_kj) or the min-max bound
+min_k max(d_ik, d_kj), and yields the bounds row by row. Both bounds are
+symmetric on a symmetric table. The min-plus rows are computed as they are
+asked for, each only from its diagonal on, the rest copied from the earlier
+rows. The min-max bound is computed whole before its first row yields: the
+smallest t at which {k : d_ik <= t} and {k : d_kj <= t} meet, found by
+adding the entries to one bitset per row in ascending order
+(``_min_max``). Each space kind answers by one rule in ``_KINDS``, in
+``classify_space`` and ``verify_as`` alike. Metric (min-plus) and
+ultrametric (min-max) are checked: they fail at the first pair in row-major
+order above its bound, and stop reading rows there (the extended check of a
+given theta scales the bound by theta's own integer form). On a table
 passing the identity check the relaxed kinds hold with their optimal
 constant, the largest ratio of a distance to its bound: ``C_min`` (min-max),
 ``s_min`` and ``theta_max`` (min-plus; equal, as the largest minimal theta
 entry is the optimal b-constant). Ratios, minimal theta among them, are
 compared as integer cross-products; a Fraction is built only when reported.
+Every bound is at most its distance (take k = i: d_ii = 0), so a pair whose
+bound equals its distance has ratio 1 and never sets a constant.
 
 Witness contract: a failing verdict names the lexicographically smallest
 violating triple (i, j, k). Its k comes from re-scanning the failing pair in
@@ -58,10 +66,47 @@ _KINDS = {
 
 def _bounds(rows: Sequence[Sequence[int]],
             combine: str) -> Iterator[list[int]]:
-    """The kernel: row i of min over k of combine(d_ik, d_kj), for every j."""
-    through = _COMBINE[combine]
-    for row_i in rows:
-        yield [min(map(through, row_i, row_j)) for row_j in rows]
+    """The kernel: row i of min over k of combine(d_ik, d_kj), for every j,
+    on symmetric rows with a zero diagonal."""
+    if combine == "max":
+        yield from _min_max(rows)
+        return
+    n, earlier = len(rows), []
+    for i, row_i in enumerate(rows):
+        bounds = [earlier[j][i] for j in range(i)]
+        bounds += [min(map(add, row_i, rows[j])) for j in range(i, n)]
+        earlier.append(bounds)
+        yield bounds
+
+
+def _min_max(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """All min-max bounds at once. The entries above the diagonal enter in
+    ascending order into one bitset per row: mask[i] holds i and every k of
+    an entry (i, k) that has entered, done[i] every j whose bound (i, j) is
+    set. The bound of (i, j) is the value of the entry that first puts some
+    k in both mask[i] and mask[j], and that entry is (i, k) or (j, k). So
+    when (i, k) enters, every j in mask[k] not done for i gets its value, at
+    (i, j) and (j, i) alike, and the same with i and k swapped. Entries of
+    equal value need no grouping, as any of them gives the same bound."""
+    n = len(rows)
+    bounds = [[0] * n for _ in range(n)]
+    mask = [1 << i for i in range(n)]
+    done = mask[:]
+    for t, i0, k0 in sorted((row[k], i, k) for i, row in enumerate(rows)
+                            for k in range(i + 1, n)):
+        mask[i0] |= 1 << k0
+        mask[k0] |= 1 << i0
+        for i, k in ((i0, k0), (k0, i0)):
+            new = mask[k] & ~done[i]
+            done[i] |= new
+            row_i, bit_i = bounds[i], 1 << i
+            while new:
+                low = new & -new
+                new ^= low
+                j = low.bit_length() - 1
+                row_i[j] = bounds[j][i] = t
+                done[j] |= bit_i
+    return bounds
 
 
 def _verdict(table: DistanceTable, bound_rows: Iterable[list[int]],
@@ -97,12 +142,15 @@ def _verdict(table: DistanceTable, bound_rows: Iterable[list[int]],
 
 def _max_ratio(rows: Sequence[Sequence[int]],
                bound_rows: Iterable[list[int]]) -> Fraction:
-    """max(1, max over pairs of d_ij / bound_ij); bounds are positive off the
-    diagonal once the identity axiom holds, and 0 / 0 on it never wins."""
+    """max(1, max over pairs of d_ij / bound_ij), read above the diagonal
+    only, so the rows and bounds must be symmetric. Bounds are positive off
+    the diagonal once the identity axiom holds; a bound equal to its
+    distance gives ratio 1, which never wins, so its cross-product is
+    skipped."""
     num, den = 1, 1
-    for row, bounds in zip(rows, bound_rows):
-        for d, bound in zip(row, bounds):
-            if d * den > num * bound:
+    for i, (row, bounds) in enumerate(zip(rows, bound_rows), 1):
+        for d, bound in zip(row[i:], bounds[i:]):
+            if d != bound and d * den > num * bound:
                 num, den = d, bound
     return Fraction(num, den)
 

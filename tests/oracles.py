@@ -78,6 +78,23 @@ def brute_first_violation(entries, combine, theta=None):
     return None
 
 
+def brute_bounds(rows, combine):
+    """For every pair (i, j), the min over all k of d_ik + d_kj ("sum") or
+    of max(d_ik, d_kj) ("max"), as a list of rows."""
+    n = len(rows)
+    bounds = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if combine == "sum":
+                    value = rows[i][k] + rows[k][j]
+                else:
+                    value = max(rows[i][k], rows[k][j])
+                if bounds[i][j] is None or value < bounds[i][j]:
+                    bounds[i][j] = value
+    return bounds
+
+
 def brute_is_metric(entries):
     n = len(entries)
     for i in range(n):

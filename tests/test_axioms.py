@@ -29,6 +29,7 @@ from gmetrix.errors import IdentityFails, PointSetMismatch, UnsupportedKind
 
 from oracles import (
     brute_b_constant,
+    brute_bounds,
     brute_first_violation,
     brute_minimal_theta,
     brute_shortest_paths,
@@ -405,6 +406,40 @@ def test_metric_closure_of_int_rows_is_the_shortest_path_table(n):
         closed = metric_closure(rows)
         assert closed == brute_shortest_paths(rows)
         assert all(type(v) is int for row in closed for v in row)
+
+
+def _kernel_tables():
+    """3,000 symmetric zero-diagonal int tables with n from 1 to 9, their
+    entries from {0..3} (heavy ties, zero off-diagonal entries), every other
+    one mixed with values next to 10^30; then every generated kind at
+    n = 80."""
+    rng = random.Random("kernel-against-brute-force")
+    near = [10 ** 30 - 1, 10 ** 30, 10 ** 30 + 1]
+    for count in range(3000):
+        n = count % 9 + 1
+        values = [0, 1, 2, 3] + (near if count % 2 else [])
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(values)
+        yield rows
+    for kind in SPACE_KINDS:
+        yield random_space(kind, 80, 3)[0].rows
+
+
+def test_kernel_matches_brute_force_bounds():
+    for rows in _kernel_tables():
+        for combine in ("sum", "max"):
+            assert list(axioms._bounds(rows, combine)) == \
+                brute_bounds(rows, combine), (rows, combine)
+
+
+def test_max_ratio_reads_above_the_diagonal_only():
+    # callers pass symmetric rows and bounds; here the diagonal and the
+    # entries below it would give 7 and 9, above it the largest ratio is 3/2
+    rows = [[7, 3, 1], [9, 0, 2], [9, 9, 0]]
+    bounds = [[1, 2, 1], [1, 0, 2], [1, 1, 0]]
+    assert axioms._max_ratio(rows, bounds) == Fraction(3, 2)
 
 
 def test_ordered_triples_oracle_shape():

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmetrix import (
     Budget,
@@ -40,6 +41,7 @@ from gmetrix import model
 from gmetrix.preservation import SuiteAssertion, SuiteReport
 from gmetrix.errors import (
     AsymmetricEntry,
+    GmetrixError,
     InvalidEntry,
     InvalidTheta,
     NegativeEntry,
@@ -241,6 +243,51 @@ def test_exponent_at_the_digit_limit_is_accepted():
     assert as_rational("25e-1") == Fraction(5, 2)
     with pytest.raises(InvalidEntry, match="not an exact rational"):
         as_rational("1e")
+
+
+def _two_point_tables(value):
+    """The distance and theta tables on two points with `value` off the
+    diagonal, or the type and message of what building each raised."""
+    built = []
+    for build, diagonal in ((new_distance_table, 0), (new_theta_table, 1)):
+        try:
+            built.append(build(["x", "y"], [[diagonal, value],
+                                            [value, diagonal]]))
+        except GmetrixError as err:
+            built.append((type(err), str(err)))
+    return built
+
+
+def _as_rational_tables(value):
+    try:
+        exact = as_rational(value)
+    except InvalidEntry as err:
+        return [(InvalidEntry, str(err))] * 2
+    return _two_point_tables(exact)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("value", [
+    "1/2", "6/4", "007/3", "0/5", "1/0", "0/0",
+    "+1/2", "-1/2", " 1/2", "1/2 ", "1 /2", "1_0/3", "1/2/3", "/2", "1/",
+    "\u0661/\u0662", "\u00b2/3", "1.5", "1e3",
+    pytest.param("7" * _LIMIT, id="digits-at-limit"),
+    pytest.param("7" * (_LIMIT + 1), id="digits-past-limit"),
+    pytest.param("7" * _LIMIT + "/3", id="numerator-at-limit"),
+    pytest.param("3/" + "7" * (_LIMIT + 1), id="denominator-past-limit"),
+    True, None, 1.5, pytest.param(10 ** 399 + 7, id="int-400-digits")])
+def test_table_entries_read_as_as_rational_reads_them(value):
+    # a table reads an int and a "p/q" of ASCII digits directly; it must
+    # accept, and reject with the same message, what as_rational does
+    assert _two_point_tables(value) == _as_rational_tables(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789/+-_ .e\u0661\u00b2", max_size=8))
+def test_table_entry_text_reads_as_as_rational_reads_it(text):
+    assert _two_point_tables(text) == _as_rational_tables(text)
 
 
 def _read_digits(text):
