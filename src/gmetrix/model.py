@@ -119,25 +119,24 @@ def canonical_dumps(obj) -> str:
 
 
 class ClassTag(Enum):
-    """Closed vocabulary of space kinds and function classes."""
+    """Closed vocabulary of space kinds and function classes (CLASS_KINDS)."""
 
     METRIC = "metric"
     ULTRAMETRIC = "ultrametric"
     WEAK_ULTRAMETRIC = "weak-ultrametric"
     B_METRIC = "b-metric"
     EXTENDED_B_METRIC = "extended-b-metric"
-    # function classes: what kind of space the function must map to what kind
-    M = "M"    # metric -> metric
-    U = "U"    # ultrametric -> ultrametric
-    DU = "DU"  # ultrametric -> weak ultrametric
-    B = "B"    # b-metric -> b-metric
-    MB = "MB"  # metric -> b-metric
-    BM = "BM"  # b-metric -> metric
-    EB = "EB"  # extended b-metric -> extended b-metric
+    M = "M"
+    U = "U"
+    DU = "DU"
+    B = "B"
+    MB = "MB"
+    BM = "BM"
+    EB = "EB"
 
     @property
     def is_space(self) -> bool:
-        return self in _SPACE_TAGS
+        return self not in CLASS_KINDS
 
     @property
     def is_function_class(self) -> bool:
@@ -152,13 +151,18 @@ class ClassTag(Enum):
         raise UnsupportedKind(f"unknown class tag {text!r}")
 
 
-_SPACE_TAGS = frozenset({
-    ClassTag.METRIC,
-    ClassTag.ULTRAMETRIC,
-    ClassTag.WEAK_ULTRAMETRIC,
-    ClassTag.B_METRIC,
-    ClassTag.EXTENDED_B_METRIC,
-})
+#: The function classes, each as (source kind, target kind): f is in the
+#: class when it carries every space of the source kind into a space of the
+#: target kind. Every other tag is a space kind.
+CLASS_KINDS = {
+    ClassTag.M: (ClassTag.METRIC, ClassTag.METRIC),
+    ClassTag.U: (ClassTag.ULTRAMETRIC, ClassTag.ULTRAMETRIC),
+    ClassTag.DU: (ClassTag.ULTRAMETRIC, ClassTag.WEAK_ULTRAMETRIC),
+    ClassTag.B: (ClassTag.B_METRIC, ClassTag.B_METRIC),
+    ClassTag.MB: (ClassTag.METRIC, ClassTag.B_METRIC),
+    ClassTag.BM: (ClassTag.B_METRIC, ClassTag.METRIC),
+    ClassTag.EB: (ClassTag.EXTENDED_B_METRIC, ClassTag.EXTENDED_B_METRIC),
+}
 
 
 class Status(Enum):

@@ -1,19 +1,20 @@
 """Pushforwards, preservation checks, class membership, counterexample search.
 
-The membership decision ladder is evidence-honest:
+The membership decision ladder is evidence-honest, and reads each class's
+target kind in `model.CLASS_KINDS`:
 
 * necessary screens (amenability, bounded quasi-subadditivity) can refute
   membership outright with a concrete witness;
 * sufficient screens certify membership when their grid-verified premises
-  fire (monotone route for the extended class, bounded image-triplet route
-  for DU, B and MB alike);
+  fire (monotone route for an extended target, bounded image-triplet route
+  for a weak-ultrametric or b-metric target alike);
 * everything else stays Inconclusive with the collected evidence.
 
-Scalar divergence refutes DU, B and MB and, with the same witness, U; for
-the extended class it stays Inconclusive because a point-dependent bound
-table could still exist. B and MB coincide, but DU is strictly larger and
-U is not contained in MB (ROADMAP item 16), so the U and DU answers of the
-rungs they share with B can be wrong.
+Scalar divergence refutes a weak-ultrametric or b-metric target and, with
+the same witness, an ultrametric one; an extended target stays Inconclusive
+because a point-dependent bound table could still exist. B and MB coincide,
+but DU is strictly larger and U is not contained in MB (ROADMAP item 16),
+so the U and DU answers of the rungs they share with B can be wrong.
 
 The image-triplet scan (last rung, and the search) hands the stream of
 plain (a, b, c) tuples to the expression's generated scan
@@ -47,6 +48,7 @@ from .errors import (
     exact_text,
 )
 from .model import (
+    CLASS_KINDS,
     ClassTag,
     DistanceTable,
     Verdict,
@@ -198,17 +200,20 @@ BASIS_EB_SUFFICIENT = "sufficient-amenable-increasing-quasi-subadditive"
 BASIS_TRIPLET_SUFFICIENT = "sufficient-bounded-image-triplet-constant"
 BASIS_TRIPLET_DIVERGENCE = "image-triplet-constant-divergence"
 
-_SUPPORTED_CLASSES = frozenset(
-    {ClassTag.U, ClassTag.DU, ClassTag.B, ClassTag.MB, ClassTag.EB})
-_RELAXED_TRIO = frozenset({ClassTag.DU, ClassTag.B, ClassTag.MB})
+#: the targets whose classes walk the same rungs to the same answer
+_RELAXED_TARGETS = (ClassTag.WEAK_ULTRAMETRIC, ClassTag.B_METRIC)
 
 
 def _require_supported(class_tag: ClassTag, refusal: str) -> None:
-    # refusal names the request and takes the tag's value
-    if class_tag not in _SUPPORTED_CLASSES:
+    # refusal names the request and takes the tag's value. No rung
+    # certifies a metric image, so the ladder answers exactly the classes
+    # whose target is not the metric kind: M and BM are refused.
+    supported = [tag for tag, (_, target) in CLASS_KINDS.items()
+                 if target is not ClassTag.METRIC]
+    if class_tag not in supported:
         raise UnsupportedClass(
             refusal.format(getattr(class_tag, "value", class_tag))
-            + " (supported: U, DU, B, MB, EB)")
+            + f" (supported: {', '.join(tag.value for tag in supported)})")
 
 
 @dataclass(frozen=True)
@@ -296,9 +301,9 @@ def membership(f: RealFn, class_tag: ClassTag,
                budget: Budget = Budget()) -> MembershipReport:
     """Decide (at grid evidence level) whether f belongs to a function class.
 
-    Supported classes: U, DU, B, MB, EB. The metric-to-metric and
-    b-metric-to-metric classes have no implemented sufficient test and are
-    rejected with UnsupportedClass.
+    Supported: each class of `model.CLASS_KINDS` whose target is not the
+    metric kind. No rung certifies a metric image, so a class with a metric
+    target is rejected with UnsupportedClass.
     """
     _require_supported(class_tag, "membership for {!r} is not decidable here")
     return _decide(class_tag, _Evidence(f, budget))
@@ -306,6 +311,7 @@ def membership(f: RealFn, class_tag: ClassTag,
 
 def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
     profile = evidence.profile
+    target = CLASS_KINDS[class_tag][1]
 
     def report(status, basis, witness, constants, note):
         return MembershipReport(class_tag=class_tag, status=status,
@@ -316,7 +322,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
 
     # ends the note of each rung that refutes the relaxed classes
     transfer = ("; ultrametric preservation sits inside the relaxed classes, "
-                "so the refutation transfers" if class_tag is ClassTag.U
+                "so the refutation transfers" if target is ClassTag.ULTRAMETRIC
                 else "")
 
     if profile.amenable.fails:
@@ -337,7 +343,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
     # amenability holds from here on, so monotonicity is the one premise
     # the sufficient routes still need
     s_estimate = profile.s_star_estimate
-    if class_tag is ClassTag.EB and profile.increasing.holds:
+    if target is ClassTag.EXTENDED_B_METRIC and profile.increasing.holds:
         # the sufficient route for the extended class needs no triplet scan
         return report(
             MembershipStatus.MEMBER, BASIS_EB_SUFFICIENT, None,
@@ -371,7 +377,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
                          f"relaxation constant {constant!r}"),
             lhs=max(images), rhs=min(images),
             data={"triplet": t, "images": images, "constant": constant})
-        if class_tag is ClassTag.EB:
+        if target is ClassTag.EXTENDED_B_METRIC:
             return report(
                 MembershipStatus.INCONCLUSIVE, None, witness, constants,
                 "image triplet constants diverge for every scalar bound, but "
@@ -386,7 +392,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
             MembershipStatus.INCONCLUSIVE, None, None, constants,
             "sufficient premises not established on the grid "
             "(missing: monotonicity); no refutation found")
-    if class_tag in _RELAXED_TRIO:
+    if target in _RELAXED_TARGETS:
         return report(
             MembershipStatus.MEMBER, BASIS_TRIPLET_SUFFICIENT, None,
             {**constants, "s": max(1.0, s_estimate, scan.sup)},
@@ -693,7 +699,8 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
         f = parse_fn("piece(x <= 0 ? 0 : piece(x <= 1 ? 1 : 4))")
         evidence = _Evidence(f, replace(budget, seed=base + 900))
         reports = [_decide(tag, evidence)
-                   for tag in (ClassTag.DU, ClassTag.B, ClassTag.MB)]
+                   for tag, (_, target) in CLASS_KINDS.items()
+                   if target in _RELAXED_TARGETS]
         for rep in reports:
             if rep.status is not MembershipStatus.MEMBER:
                 return False, {"class": rep.class_tag.value,

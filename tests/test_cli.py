@@ -559,19 +559,24 @@ def test_realize_sides_that_span_the_float_range(capsys):
 
 
 def test_member_rejects_unsupported_classes(capsys):
-    code, _, err = run(capsys, "member", "x", "--class", "M",
-                       "--points", "500", "--samples", "100")
-    assert code == 64
-    assert "usage error" in err
+    for klass in ("M", "BM"):
+        code, doc, err = run(capsys, "member", "x", "--class", klass,
+                             "--points", "500", "--samples", "100")
+        assert code == 64
+        assert doc is None
+        assert err == (f"usage error: membership for {klass!r} is not "
+                       "decidable here (supported: U, DU, B, MB, EB)\n")
     code, _, _ = run(capsys, "member", "x", "--class", "metric")
     assert code == 64
 
 
 def test_search_rejects_unsupported_classes(capsys):
-    code, doc, err = run(capsys, "search", "x", "--class", "M")
-    assert code == 64
-    assert doc is None
-    assert err.startswith("usage error: search for 'M' is not supported")
+    for klass in ("M", "BM"):
+        code, doc, err = run(capsys, "search", "x", "--class", klass)
+        assert code == 64
+        assert doc is None
+        assert err == (f"usage error: search for {klass!r} is not supported "
+                       "(supported: U, DU, B, MB, EB)\n")
 
 
 # a metric document for the commands that read one, written where "DOC" is

@@ -37,7 +37,7 @@ from gmetrix import (
     space_from_json,
     space_to_json,
 )
-from gmetrix import model
+from gmetrix import axioms, model
 from gmetrix.preservation import SuiteAssertion, SuiteReport
 from gmetrix.errors import (
     AsymmetricEntry,
@@ -397,6 +397,28 @@ def test_class_tag_parse():
     assert ClassTag.parse("ultrametric").is_space
     with pytest.raises(UnsupportedKind):
         ClassTag.parse("euclidean")
+    # the class table, row by row as the README defines each class, in
+    # ClassTag order: what kind of space f must carry into what kind
+    metric, ultra, weak, b, extended = (
+        ClassTag.METRIC, ClassTag.ULTRAMETRIC, ClassTag.WEAK_ULTRAMETRIC,
+        ClassTag.B_METRIC, ClassTag.EXTENDED_B_METRIC)
+    assert list(model.CLASS_KINDS.items()) == [
+        (ClassTag.M, (metric, metric)),
+        (ClassTag.U, (ultra, ultra)),
+        (ClassTag.DU, (ultra, weak)),
+        (ClassTag.B, (b, b)),
+        (ClassTag.MB, (metric, b)),
+        (ClassTag.BM, (b, metric)),
+        (ClassTag.EB, (extended, extended)),
+    ]
+    # is_space splits the tags into the 5 kinds and the 7 classes, and
+    # every source and target is a kind the table kernel has a rule for
+    kinds = [tag for tag in ClassTag if tag.is_space]
+    assert kinds == [metric, ultra, weak, b, extended]
+    assert [tag for tag in ClassTag if tag.is_function_class] \
+        == list(model.CLASS_KINDS)
+    assert {kind for pair in model.CLASS_KINDS.values() for kind in pair} \
+        <= set(axioms._KINDS)
 
 
 def test_verdict_construction_contracts():

@@ -1,5 +1,6 @@
 """Pushforwards, targeted preservation, membership, search, and the suite."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -477,6 +478,72 @@ def test_step_function_membership_constant_is_exactly_two():
         assert report.status is MembershipStatus.MEMBER, tag
         assert report.constants["s"] == 2.0
     assert counterexample_search(parse_fn(STEP_SOURCE), ClassTag.B, FAST) is None
+
+
+_OPEN = ("inconclusive", None)
+_BY_MONOTONE = ("member", "sufficient-amenable-increasing-quasi-subadditive")
+_BY_TRIPLETS = ("member", "sufficient-bounded-image-triplet-constant")
+_NOT_AMENABLE = ("non-member-evidence", "necessary-amenability-failed")
+_NOT_QUASI = ("non-member-evidence", "necessary-quasi-subadditivity-diverged")
+_DIVERGES = ("non-member-evidence", "image-triplet-constant-divergence")
+
+#: membership's (status, basis) at RUNG_BUDGET for U, DU, B, MB and EB, in
+#: that order, for the catalog and the rung expressions
+PINNED_ANSWERS = {
+    "x": (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    "x / (1 + x)":
+        (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    "min(x, 1)":
+        (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    "sqrt(x)": (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    "x^2": (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    "exp(x) - 1":
+        (_NOT_QUASI, _NOT_QUASI, _NOT_QUASI, _NOT_QUASI, _NOT_QUASI),
+    "0": (_NOT_AMENABLE, _NOT_AMENABLE, _NOT_AMENABLE, _NOT_AMENABLE,
+          _NOT_AMENABLE),
+    "ceil(x)": (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    VANISHES_PAST_GRID: (_NOT_AMENABLE, _NOT_AMENABLE, _NOT_AMENABLE,
+                         _NOT_AMENABLE, _BY_MONOTONE),
+    SPIKE_PAST_GRID: (_DIVERGES, _DIVERGES, _DIVERGES, _DIVERGES,
+                      _BY_MONOTONE),
+    DECREASING_SPIKE: (_DIVERGES, _DIVERGES, _DIVERGES, _DIVERGES, _OPEN),
+    DECREASING: (_OPEN, _OPEN, _OPEN, _OPEN, _OPEN),
+    OVERFLOWS: (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+    STEP_SOURCE:
+        (_OPEN, _BY_TRIPLETS, _BY_TRIPLETS, _BY_TRIPLETS, _BY_MONOTONE),
+}
+
+#: sha256 over the transcript that test_every_ladder_answer_is_pinned builds
+PINNED_TRANSCRIPT_SHA256 = (
+    "af251e2e4041f3190713c0c529db66db2610aa9a0dd224d008410ef08decfa32")
+
+
+def test_every_ladder_answer_is_pinned():
+    """Every expression of PINNED_ANSWERS under every function class, in
+    ClassTag order, at RUNG_BUDGET: `membership`, then
+    `counterexample_search`. Each adds its canonical JSON to one transcript,
+    or, for M and BM, its UnsupportedClass message. Both pins were taken
+    before the class definitions became one table. A change that alters an
+    answer on purpose (ROADMAP items 13, 16 and 20) updates PINNED_ANSWERS
+    and the hash, and lists each changed answer in CHANGES.md."""
+    classes = [tag for tag in ClassTag if tag.is_function_class]
+    answers, digest = {}, hashlib.sha256()
+    for source in PINNED_ANSWERS:
+        f = parse_fn(source)
+        row = []
+        for tag in classes:
+            for run in (membership, counterexample_search):
+                try:
+                    result = run(f, tag, RUNG_BUDGET)
+                except UnsupportedClass as err:
+                    digest.update(str(err).encode())
+                    continue
+                if run is membership:
+                    row.append((result.status.value, result.basis))
+                digest.update(canonical_dumps(result).encode())
+        answers[source] = tuple(row)
+    assert answers == PINNED_ANSWERS
+    assert digest.hexdigest() == PINNED_TRANSCRIPT_SHA256
 
 
 def test_search_finds_and_realizes_an_exponential_witness():
