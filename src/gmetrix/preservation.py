@@ -476,6 +476,7 @@ _SUBADDITIVE_NAMES = ("identity", "saturating-ratio", "unit-clamp",
                       "square-root", "ceiling")
 _MONOTONE_AMENABLE_NAMES = ("identity", "saturating-ratio", "unit-clamp",
                             "square-root", "square", "ceiling")
+_POSITIVITY_NAMES = ("saturating-ratio", "unit-clamp", "square-root", "square")
 _REFUTED_NAMES = ("exp-minus-one", "zero")
 
 
@@ -510,14 +511,35 @@ def _sweep(kind: ClassTag, per_size: int, first_seed: int):
             for i, (n, _) in enumerate(product(range(2, 7), range(per_size)))]
 
 
+def _run_row(assert_id: str, description: str, cases, check,
+             details) -> SuiteAssertion:
+    """One suite row: build its cases, check each in order, and pass with
+    `details(cases)`, or fail with the first failing case's index and reason.
+    Guarded, so a row that raises is a failed entry instead of aborting."""
+    try:
+        built = cases()
+        for i, case in enumerate(built):
+            reason = check(case)
+            if reason is not None:
+                return SuiteAssertion(assert_id, description, False,
+                                      {"case": i, "reason": reason})
+        return SuiteAssertion(assert_id, description, True, details(built))
+    except Exception as err:  # report, never abort
+        return SuiteAssertion(assert_id, description, False,
+                              {"error": repr(err)})
+
+
 def theorem_suite(seed: int = 0) -> SuiteReport:
     """Run the cross-checking assertions over generators and the catalog.
 
-    Deterministic for a fixed seed: identical reports, byte for byte. Each
-    assertion runs guarded, so a defect shows up as a failed entry instead of
-    aborting the suite. Within a run, each catalog expression is parsed
-    once, and each function's profile and triplet scan under one budget, and
-    each generated table, is computed once.
+    Each assertion is a row: id, description, a thunk that builds its cases,
+    a check that returns None or the reason a case fails, and the details
+    of a pass. A failed entry's details are the first failing case's index
+    and reason, {"case": i, "reason": text}, or {"error": repr} when the row
+    raised, so a defect never aborts the suite. Deterministic for a fixed
+    seed: identical reports, byte for byte. Within a run, each catalog
+    expression is parsed once, and each function's profile and triplet scan
+    under one budget, and each generated table, is computed once.
     """
     base = seed * 1000
     catalog = {name: parse_fn(source) for name, source in FUNCTION_CATALOG}
@@ -525,246 +547,221 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
     budget = Budget(triplet_samples=6000,
                     grid=GridSpec(x_max=20.0, n_points=1200, seed=seed),
                     seed=base + 800)
-    checks: list[SuiteAssertion] = []
+    subadditive_grid = GridSpec(x_max=10.0, n_points=600, seed=seed)
 
-    def run(assert_id: str, description: str, body) -> None:
-        try:
-            passed, details = body()
-        except Exception as err:  # report, never abort
-            passed, details = False, {"error": repr(err)}
-        checks.append(SuiteAssertion(assert_id, description, bool(passed),
-                                     dict(details)))
+    def ultrametric_unit_constant(case):
+        table, _theta = case
+        if not axioms.check_ultra(table).holds:
+            return "ultra axiom"
+        if not axioms.check_triangle(table).holds:
+            return "triangle"
+        if axioms.optimal_weak_ultra_constant(table) != 1:
+            return "constant above 1"
+        return None
 
-    def ultrametrics_unit_constant():
-        spaces = _sweep(ClassTag.ULTRAMETRIC, 40, base)
-        for i, (table, _theta) in enumerate(spaces):
-            if not axioms.check_ultra(table).holds:
-                return False, {"space": i, "reason": "ultra axiom"}
-            if not axioms.check_triangle(table).holds:
-                return False, {"space": i, "reason": "triangle"}
-            if axioms.optimal_weak_ultra_constant(table) != 1:
-                return False, {"space": i, "reason": "constant above 1"}
-        return True, {"spaces": len(spaces)}
+    def metric_unit_relaxation(case):
+        table, _theta = case
+        if not axioms.check_triangle(table).holds:
+            return "triangle"
+        if axioms.optimal_b_constant(table) != 1:
+            return "relaxation above 1"
+        return None
 
-    run("ultrametric-unit-constant",
-        "generated ultrametrics satisfy the max inequality with optimal "
-        "constant exactly 1 and are metrics in particular",
-        ultrametrics_unit_constant)
+    def scalar_bound_tightness(case):
+        table, s = case
+        cover = constant_theta(table.points, s)
+        if not axioms.check_extended_b(table, cover).holds:
+            return "optimal s rejected"
+        if s > 1:
+            shrunk = 1 + (s - 1) * Fraction(999, 1000)
+            below = constant_theta(table.points, shrunk)
+            if not axioms.check_extended_b(table, below).fails:
+                return "sub-optimal s accepted"
+        return None
 
-    def metrics_unit_relaxation():
-        spaces = _sweep(ClassTag.METRIC, 40, base)
-        for i, (table, _theta) in enumerate(spaces):
-            if not axioms.check_triangle(table).holds:
-                return False, {"space": i, "reason": "triangle"}
-            if axioms.optimal_b_constant(table) != 1:
-                return False, {"space": i, "reason": "relaxation above 1"}
-        return True, {"spaces": len(spaces)}
+    def pointwise_bounds_cover(case):
+        table, theta, nontrivial = case
+        if not axioms.check_extended_b(table, theta).holds:
+            return "attached bound rejected"
+        if nontrivial:
+            rows = [[1 + (v - 1) * Fraction(999, 1000) if v > 1 else v
+                     for v in row] for row in theta.entries]
+            below = new_theta_table(theta.points, rows)
+            if not axioms.check_extended_b(table, below).fails:
+                return "shrunk bounds accepted"
+        return None
 
-    run("metric-unit-relaxation",
-        "generated metrics satisfy the sum inequality with optimal "
-        "relaxation constant exactly 1",
-        metrics_unit_relaxation)
+    def subadditive_unit_estimate(name):
+        profile = classify_fn(catalog[name], subadditive_grid)
+        if not profile.subadditive.holds:
+            return f"{name}: subadditivity rejected"
+        if profile.s_star_estimate != 1.0:
+            return f"{name}: estimate {profile.s_star_estimate}"
+        return None
 
-    def scalar_bound_tightness():
-        nontrivial = 0
-        spaces = _sweep(ClassTag.B_METRIC, 20, base)
-        for i, (table, _theta) in enumerate(spaces):
-            s = axioms.optimal_b_constant(table)
-            cover = constant_theta(table.points, s)
-            if not axioms.check_extended_b(table, cover).holds:
-                return False, {"space": i, "reason": "optimal s rejected"}
-            if s > 1:
-                nontrivial += 1
-                shrunk = 1 + (s - 1) * Fraction(999, 1000)
-                below = constant_theta(table.points, shrunk)
-                if not axioms.check_extended_b(table, below).fails:
-                    return False, {"space": i,
-                                   "reason": "sub-optimal s accepted"}
-        return True, {"spaces": len(spaces), "nontrivial": nontrivial}
+    def scalar_pointwise_agreement(t):
+        k = float(triplet_constant(t)) * (1.0 + 1e-12)
+        if not is_s_triplet(t, k):
+            return "own constant rejected"
+        for s in (1.0, 1.5, k, 4.0):
+            if is_s_triplet(t, s) != is_theta_triplet(t, s, s, s):
+                return f"scalar and pointwise bounds differ at s = {s}"
+        return None
 
-    run("scalar-bound-tightness",
-        "the optimal scalar relaxation of a generated b-space works as a "
-        "constant pointwise bound and shrinking it breaks the space",
-        scalar_bound_tightness)
+    def monotone_preserves_ultra(case):
+        name, (table, _theta) = case
+        image = pushforward(catalog[name], table)
+        if not axioms.check_identity(image).holds:
+            return f"{name}: identity axiom"
+        if not axioms.check_ultra(image).holds:
+            return f"{name}: ultra axiom"
+        if axioms.optimal_weak_ultra_constant(image) != 1:
+            return f"{name}: constant above 1"
+        return None
 
-    def pointwise_bounds_cover():
-        shrunk_checked = 0
-        spaces = _sweep(ClassTag.EXTENDED_B_METRIC, 20, base)
-        for i, (table, theta) in enumerate(spaces):
-            if not axioms.check_extended_b(table, theta).holds:
-                return False, {"space": i, "reason": "attached bound rejected"}
-            if theta.max_entry() > 1:
-                shrunk_checked += 1
-                rows = [[1 + (v - 1) * Fraction(999, 1000) if v > 1 else v
-                         for v in row] for row in theta.entries]
-                below = new_theta_table(theta.points, rows)
-                if not axioms.check_extended_b(table, below).fails:
-                    return False, {"space": i,
-                                   "reason": "shrunk bounds accepted"}
-        return True, {"spaces": len(spaces), "shrunk_checked": shrunk_checked}
+    def catalog_membership_status(case):
+        name, f = case
+        # B and EB agree: two catalog functions are refuted, the rest are
+        # members
+        want = (MembershipStatus.NON_MEMBER_EVIDENCE
+                if name in _REFUTED_NAMES else MembershipStatus.MEMBER)
+        evidence = _Evidence(f, budget)
+        got_b = _decide(ClassTag.B, evidence).status
+        got_eb = _decide(ClassTag.EB, evidence).status
+        if (got_b, got_eb) != (want, want):
+            return (f"{name}: B {got_b.value}, EB {got_eb.value}, "
+                    f"expected {want.value}")
+        # every certified member must pass the necessary screens
+        profile = evidence.profile
+        if want is MembershipStatus.MEMBER and (
+                not profile.amenable.holds or profile.quasi_subadditive.fails):
+            return f"{name}: member fails a necessary screen"
+        return None
 
-    run("pointwise-bounds-cover",
-        "the minimal pointwise bound table attached to generated extended "
-        "spaces verifies, and uniformly shrinking its nontrivial entries "
-        "fails",
-        pointwise_bounds_cover)
-
-    def subadditive_unit_estimate():
-        grid = GridSpec(x_max=10.0, n_points=600, seed=seed)
-        for name in _SUBADDITIVE_NAMES:
-            profile = classify_fn(catalog[name], grid)
-            if not profile.subadditive.holds:
-                return False, {"fn": name, "reason": "subadditivity rejected"}
-            if profile.s_star_estimate != 1.0:
-                return False, {"fn": name,
-                               "estimate": profile.s_star_estimate}
-        return True, {"functions": len(_SUBADDITIVE_NAMES)}
-
-    run("subadditive-unit-estimate",
-        "subadditive catalog functions profile with relaxation estimate "
-        "exactly 1",
-        subadditive_unit_estimate)
-
-    def scalar_pointwise_agreement():
-        triplets = list(sample_triplets(RandomStrategy(seed=base + 500,
-                                                       count=500)))
-        for t in triplets:
-            k = float(triplet_constant(t)) * (1.0 + 1e-12)
-            if not is_s_triplet(t, k):
-                return False, {"triplet": t.as_tuple(),
-                               "reason": "own constant rejected"}
-            for s in (1.0, 1.5, k, 4.0):
-                if is_s_triplet(t, s) != is_theta_triplet(t, s, s, s):
-                    return False, {"triplet": t.as_tuple(), "s": s}
-        return True, {"triplets": len(triplets)}
-
-    run("scalar-pointwise-agreement",
-        "a scalar relaxation bound and the constant pointwise bound accept "
-        "exactly the same sampled triplets",
-        scalar_pointwise_agreement)
-
-    def monotone_preserves_ultra():
-        spaces = _sweep(ClassTag.ULTRAMETRIC, 6, base + 300)
-        for name in _MONOTONE_AMENABLE_NAMES:
-            f = catalog[name]
-            for i, (table, _theta) in enumerate(spaces):
-                image = pushforward(f, table)
-                if not axioms.check_identity(image).holds:
-                    return False, {"fn": name, "space": i,
-                                   "reason": "identity"}
-                if not axioms.check_ultra(image).holds:
-                    return False, {"fn": name, "space": i, "reason": "ultra"}
-                if axioms.optimal_weak_ultra_constant(image) != 1:
-                    return False, {"fn": name, "space": i,
-                                   "reason": "constant above 1"}
-        return True, {"functions": len(_MONOTONE_AMENABLE_NAMES),
-                      "spaces_each": len(spaces)}
-
-    run("monotone-preserves-ultrametric",
-        "amenable nondecreasing catalog functions push generated "
-        "ultrametrics to ultrametrics",
-        monotone_preserves_ultra)
-
-    def catalog_membership_statuses():
-        screened = 0
-        for name, f in catalog.items():
-            # B and EB agree: two catalog functions are refuted, the rest
-            # are members
-            want = (MembershipStatus.NON_MEMBER_EVIDENCE
-                    if name in _REFUTED_NAMES else MembershipStatus.MEMBER)
-            evidence = _Evidence(f, budget)
-            got_b = _decide(ClassTag.B, evidence).status
-            got_eb = _decide(ClassTag.EB, evidence).status
-            if (got_b, got_eb) != (want, want):
-                return False, {"fn": name,
-                               "b": got_b.value, "eb": got_eb.value,
-                               "expected_b": want.value,
-                               "expected_eb": want.value}
-            if want is MembershipStatus.MEMBER:
-                # every certified member must pass the necessary screens
-                profile = evidence.profile
-                if not profile.amenable.holds or profile.quasi_subadditive.fails:
-                    return False, {"fn": name,
-                                   "reason": "member fails a necessary screen"}
-                screened += 1
-        return True, {"functions": len(catalog), "screened": screened}
-
-    run("catalog-membership-statuses",
-        "membership statuses across the catalog match the known lattice "
-        "facts, scalar membership implies extended membership, and every "
-        "member passes the necessary screens",
-        catalog_membership_statuses)
-
-    def step_function_is_relaxed_member():
+    def step_function_cases():
         f = parse_fn("piece(x <= 0 ? 0 : piece(x <= 1 ? 1 : 4))")
         evidence = _Evidence(f, replace(budget, seed=base + 900))
-        reports = [_decide(tag, evidence)
-                   for tag, (_, target) in CLASS_KINDS.items()
-                   if target in _RELAXED_TARGETS]
-        for rep in reports:
-            if rep.status is not MembershipStatus.MEMBER:
-                return False, {"class": rep.class_tag.value,
-                               "status": rep.status.value}
-            if rep.constants.get("s") != 2.0:
-                return False, {"class": rep.class_tag.value,
-                               "s": rep.constants.get("s")}
-        witness = _search_witness(evidence.scan, evidence.budget.seed)
-        if witness is not None:
-            return False, {"reason": "search produced a spurious witness",
-                           "constant": witness.constant}
-        return True, {"classes": 3, "s": 2.0}
+        # each relaxed class, then None for the search
+        return [(tag, evidence) for tag, (_, target) in CLASS_KINDS.items()
+                if target in _RELAXED_TARGETS] + [(None, evidence)]
 
-    run("step-function-relaxed-member",
-        "the two-level step function lands in all three coinciding relaxed "
-        "classes with bound exactly 2, and the search finds no witness "
-        "against it",
-        step_function_is_relaxed_member)
+    def step_function_is_relaxed_member(case):
+        tag, evidence = case
+        if tag is None:
+            witness = _search_witness(evidence.scan, evidence.budget.seed)
+            if witness is not None:
+                return ("search produced a spurious witness, constant "
+                        f"{witness.constant}")
+            return None
+        rep = _decide(tag, evidence)
+        if rep.status is not MembershipStatus.MEMBER:
+            return f"{tag.value}: {rep.status.value}"
+        if rep.constants.get("s") != 2.0:
+            return f"{tag.value}: s = {rep.constants.get('s')}"
+        return None
 
-    def ceiling_envelope():
-        report = region_check(catalog["ceiling"],
+    def ceiling_envelope(name):
+        report = region_check(catalog[name],
                               RegionSpec(a=1.0, b=1.0, n_max=10,
                                          samples_per_interval=12))
         if not report.all_hold:
-            return False, {"violations": len(report.violations)}
-        return True, {"intervals": 10}
+            return f"{name}: {len(report.violations)} envelope violations"
+        return None
 
-    run("ceiling-envelope",
-        "the ceiling function stays inside the staircase envelope grown "
-        "from its unit plateau",
-        ceiling_envelope)
+    def identity_pushforward_exact(case):
+        kind, table = case
+        if pushforward(catalog["identity"], table).entries != table.entries:
+            return f"{kind.value}: image differs"
+        return None
 
-    def identity_pushforward_exact():
-        f = catalog["identity"]
-        kinds = (ClassTag.METRIC, ClassTag.ULTRAMETRIC,
-                 ClassTag.WEAK_ULTRAMETRIC, ClassTag.B_METRIC)
-        count = 0
-        for kind in kinds:
-            for j in range(5):
-                table, _theta = random_space(kind, 5, base + 600 + j)
-                image = pushforward(f, table)
-                if image.entries != table.entries:
-                    return False, {"kind": kind.value, "space": j}
-                count += 1
-        return True, {"spaces": count}
+    def amenable_preserves_positivity(case):
+        name, (table, _theta) = case
+        if not axioms.check_identity(pushforward(catalog[name], table)).holds:
+            return f"{name}: identity axiom"
+        return None
 
-    run("identity-pushforward-exact",
-        "pushing forward along the identity expression reproduces every "
-        "table bit for bit",
-        identity_pushforward_exact)
-
-    def amenable_preserves_positivity():
-        names = ("saturating-ratio", "unit-clamp", "square-root", "square")
-        spaces = _sweep(ClassTag.METRIC, 6, base + 700)
-        for name in names:
-            f = catalog[name]
-            for i, (table, _theta) in enumerate(spaces):
-                if not axioms.check_identity(pushforward(f, table)).holds:
-                    return False, {"fn": name, "space": i}
-        return True, {"functions": len(names), "spaces_each": len(spaces)}
-
-    run("amenable-preserves-positivity",
-        "amenable catalog functions keep distinct points at positive "
-        "distance after the pushforward",
-        amenable_preserves_positivity)
-
-    return SuiteReport(seed=seed, assertions=tuple(checks))
+    rows = (
+        ("ultrametric-unit-constant",
+         "generated ultrametrics satisfy the max inequality with optimal "
+         "constant exactly 1 and are metrics in particular",
+         lambda: _sweep(ClassTag.ULTRAMETRIC, 40, base),
+         ultrametric_unit_constant, lambda cases: {"spaces": len(cases)}),
+        ("metric-unit-relaxation",
+         "generated metrics satisfy the sum inequality with optimal "
+         "relaxation constant exactly 1",
+         lambda: _sweep(ClassTag.METRIC, 40, base),
+         metric_unit_relaxation, lambda cases: {"spaces": len(cases)}),
+        ("scalar-bound-tightness",
+         "the optimal scalar relaxation of a generated b-space works as a "
+         "constant pointwise bound and shrinking it breaks the space",
+         lambda: [(table, axioms.optimal_b_constant(table))
+                  for table, _ in _sweep(ClassTag.B_METRIC, 20, base)],
+         scalar_bound_tightness,
+         lambda cases: {"spaces": len(cases),
+                        "nontrivial": sum(s > 1 for _, s in cases)}),
+        ("pointwise-bounds-cover",
+         "the minimal pointwise bound table attached to generated extended "
+         "spaces verifies, and uniformly shrinking its nontrivial entries "
+         "fails",
+         lambda: [(table, theta, theta.max_entry() > 1) for table, theta
+                  in _sweep(ClassTag.EXTENDED_B_METRIC, 20, base)],
+         pointwise_bounds_cover,
+         lambda cases: {"spaces": len(cases), "shrunk_checked": sum(
+             nontrivial for *_, nontrivial in cases)}),
+        ("subadditive-unit-estimate",
+         "subadditive catalog functions profile with relaxation estimate "
+         "exactly 1",
+         lambda: _SUBADDITIVE_NAMES, subadditive_unit_estimate,
+         lambda cases: {"functions": len(cases)}),
+        ("scalar-pointwise-agreement",
+         "a scalar relaxation bound and the constant pointwise bound accept "
+         "exactly the same sampled triplets",
+         lambda: list(sample_triplets(RandomStrategy(seed=base + 500,
+                                                     count=500))),
+         scalar_pointwise_agreement, lambda cases: {"triplets": len(cases)}),
+        ("monotone-preserves-ultrametric",
+         "amenable nondecreasing catalog functions push generated "
+         "ultrametrics to ultrametrics",
+         lambda: list(product(_MONOTONE_AMENABLE_NAMES,
+                              _sweep(ClassTag.ULTRAMETRIC, 6, base + 300))),
+         monotone_preserves_ultra,
+         lambda cases: {"functions": len(_MONOTONE_AMENABLE_NAMES),
+                        "spaces_each":
+                            len(cases) // len(_MONOTONE_AMENABLE_NAMES)}),
+        ("catalog-membership-statuses",
+         "membership statuses across the catalog match the known lattice "
+         "facts, scalar membership implies extended membership, and every "
+         "member passes the necessary screens",
+         catalog.items, catalog_membership_status,
+         lambda cases: {"functions": len(cases), "screened": sum(
+             name not in _REFUTED_NAMES for name, _ in cases)}),
+        ("step-function-relaxed-member",
+         "the two-level step function lands in all three coinciding relaxed "
+         "classes with bound exactly 2, and the search finds no witness "
+         "against it",
+         step_function_cases, step_function_is_relaxed_member,
+         lambda cases: {"classes": 3, "s": 2.0}),
+        ("ceiling-envelope",
+         "the ceiling function stays inside the staircase envelope grown "
+         "from its unit plateau",
+         lambda: ("ceiling",), ceiling_envelope,
+         lambda cases: {"intervals": 10}),
+        ("identity-pushforward-exact",
+         "pushing forward along the identity expression reproduces every "
+         "table bit for bit",
+         lambda: [(kind, random_space(kind, 5, base + 600 + j)[0])
+                  for kind in (ClassTag.METRIC, ClassTag.ULTRAMETRIC,
+                               ClassTag.WEAK_ULTRAMETRIC, ClassTag.B_METRIC)
+                  for j in range(5)],
+         identity_pushforward_exact, lambda cases: {"spaces": len(cases)}),
+        ("amenable-preserves-positivity",
+         "amenable catalog functions keep distinct points at positive "
+         "distance after the pushforward",
+         lambda: list(product(_POSITIVITY_NAMES,
+                              _sweep(ClassTag.METRIC, 6, base + 700))),
+         amenable_preserves_positivity,
+         lambda cases: {"functions": len(_POSITIVITY_NAMES),
+                        "spaces_each": len(cases) // len(_POSITIVITY_NAMES)}),
+    )
+    return SuiteReport(seed=seed,
+                       assertions=tuple(_run_row(*row) for row in rows))

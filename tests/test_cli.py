@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -735,6 +736,22 @@ def test_suite_is_reproducible(capsys):
     code, doc, _ = run(capsys, "suite", "--seed", "42")
     assert code == 0
     assert json.dumps(doc, sort_keys=True) == first
+
+
+#: sha256 of `suite --seed S` stdout, the same on Python 3.10 to 3.13
+SUITE_SHA256 = {
+    0: "ffdf77e109ce3ba22bd5a23c71ad76b5bf3c1a5b65bc4d28d10abaa0a1dc7db3",
+    1: "aea8fc3eab3243bde036f91f5900b26ab0003c9ba165ed359470dd223db1ffd4",
+    2: "ecdf5adff6592d2553a5e3db4f0cbfa5adedfec663bfc0a1035af27a5a6bfd3d",
+    3: "30d3cbdf4c3e181a62c7e618bfecd53e70443d29cf909df1b19af0e5f22543ee",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_SHA256))
+def test_suite_output_is_pinned(capsys, seed):
+    assert main(["suite", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256[seed]
 
 
 def test_region_check_and_plot(capsys, tmp_path):

@@ -136,6 +136,8 @@ def test_space_json_with_theta_round_trip(tmp_path):
     back, theta_back = load_space(path)
     assert back.entries == table.entries
     assert theta_back.entries == theta.entries
+    with pytest.raises(SpaceFormatError, match="different points"):
+        space_to_json(table, constant_theta(["x", "z"], 2))
 
 
 def test_space_json_schema_errors():
@@ -332,6 +334,8 @@ def test_load_space_maps_decode_failures(tmp_path, content):
 def test_canonical_dumps_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": Fraction(1, 3)})
     assert text == '{\n  "a": "1/3",\n  "b": 1\n}\n'
+    # an enum member is written as its value
+    assert canonical_dumps({"class": ClassTag.B}) == '{\n  "class": "B"\n}\n'
 
 
 def _reports():

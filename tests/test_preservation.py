@@ -665,12 +665,47 @@ def test_theorem_suite_reports_failures_without_aborting(capsys, monkeypatch):
     failed = {item["id"]: item["details"] for item in doc["assertions"]
               if not item["passed"]}
     assert failed == {
-        "ultrametric-unit-constant": {"space": 0,
+        "ultrametric-unit-constant": {"case": 0,
                                       "reason": "constant above 1"},
-        "monotone-preserves-ultrametric": {"fn": "identity", "space": 0,
-                                           "reason": "constant above 1"},
+        "monotone-preserves-ultrametric": {
+            "case": 0, "reason": "identity: constant above 1"},
         "ceiling-envelope": {
             "error": repr(RuntimeError("region check broke"))},
     }
     assert len(doc["assertions"]) == 12
     assert doc["all_passed"] is False
+
+
+def test_theorem_suite_reports_every_row_failing(capsys, monkeypatch):
+    # a defect in what each row checks: every row fails at its first case,
+    # 0, with a reason (the test above reaches the error shape), and the
+    # command exits 1
+    bent = new_distance_table(["x", "y", "z"],
+                              [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    collapsed = new_distance_table(["x", "y"], [[0, 0], [0, 0]])
+    failing = check_triangle(bent)
+    assert failing.fails and check_identity(collapsed).fails
+    classify_fn = preservation.classify_fn
+    region_check = preservation.region_check
+    # every function profiles as this one, which is not subadditive and
+    # which the screens refute; every region check runs on a spike
+    superadditive = parse_fn("exp(x) - 1")
+    spike = parse_fn("piece(x <= 0 ? 0 : piece(x <= 1 ? 1 : 100))")
+    for name in ("check_ultra", "check_triangle", "check_extended_b"):
+        monkeypatch.setattr(axioms, name, lambda *args: failing)
+    monkeypatch.setattr(preservation, "is_s_triplet", lambda *args: False)
+    monkeypatch.setattr(preservation, "classify_fn",
+                        lambda f, grid: classify_fn(superadditive, grid))
+    monkeypatch.setattr(preservation, "pushforward",
+                        lambda f, table: collapsed)
+    monkeypatch.setattr(preservation, "region_check",
+                        lambda f, spec: region_check(spike, spec))
+    assert main(["suite", "--seed", "0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["assertions"]) == 12
+    for item in doc["assertions"]:
+        details = item["details"]
+        assert not item["passed"], item["id"]
+        assert set(details) == {"case", "reason"}, item
+        assert details["case"] == 0, item
+        assert isinstance(details["reason"], str) and details["reason"], item
