@@ -256,7 +256,7 @@ def _budget_from(args) -> Budget:
     grid = _spec(GridSpec, x_max=args.x_max, n_points=args.points,
                  seed=args.grid_seed)
     return _spec(Budget, triplet_samples=args.samples, grid=grid,
-                 seed=args.seed, scale=args.scale)
+                 seed=args.seed)
 
 
 def _cmd_member(args) -> int:
@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         ms.add_argument("--seed", type=int, default=Budget.seed,
                         help="sampling seed (default %(default)s)")
         _grid_flags(ms, Budget.grid, "--grid-seed")
-        ms.add_argument("--scale", type=_positive_float, default=None,
-                        help="triplet entry scale (default 2 * x-max)")
         ms.set_defaults(handler=handler)
 
     suite = sub.add_parser("suite", help="run the cross-checking suite")

@@ -22,8 +22,8 @@ plain (a, b, c) tuples to the expression's generated scan
 with all of `eval_fn`'s checks, scores the images with the formula of
 `triplet_constant`, and stops at the first infinite constant; an entry is
 evaluated only when the scan reaches it. The ladder and the search read
-its one refutation, `_TripletScan.hit`. Only a search witness becomes a
-`Triplet`, to be realized in the plane.
+its one refutation, `_TripletScan.hit`, if it `refutes` the class's target.
+Only a search witness becomes a `Triplet`, to be realized in the plane.
 """
 
 from __future__ import annotations
@@ -162,30 +162,28 @@ class Budget:
     triplet_samples: int = 100_000
     grid: GridSpec = MEMBER_GRID
     seed: int = 0
-    scale: Optional[float] = None  # triplet entry scale; default 2 * x_max
 
     def __post_init__(self) -> None:
         if self.triplet_samples < 1:
             raise PreconditionViolated("triplet_samples must be at least 1")
-        scale = self.effective_scale()
-        if not (scale > 0 and math.isfinite(scale)):
+        if math.isinf(2.0 * self.scale):  # b + c reaches twice the scale
             raise PreconditionViolated(
-                f"triplet scale {scale!r} must be positive and finite")
-        if math.isinf(2.0 * scale):  # the sampler adds two entries up to scale
+                f"triplet scale {self.scale!r} overflows when doubled")
+        if self.scale / 20.0 == 0.0:  # the step of mixed_tuples' grid sweep
             raise PreconditionViolated(
-                f"triplet scale {scale!r} overflows when doubled")
-        if scale / 20.0 == 0.0:  # the step of mixed_tuples' grid sweep
-            raise PreconditionViolated(
-                f"triplet scale {scale!r} underflows when divided by 20")
+                f"triplet scale {self.scale!r} underflows when divided by 20")
 
-    def effective_scale(self) -> float:
-        return self.scale if self.scale is not None else 2.0 * self.grid.x_max
+    @property
+    def scale(self) -> float:
+        """The triplet scan's scale, the reach of the grid's pair sums;
+        GridSpec keeps it positive and finite."""
+        return 2.0 * self.grid.x_max
 
     def to_json(self):
         return {"triplet_samples": self.triplet_samples,
                 "grid": self.grid.to_json(),
                 "seed": self.seed,
-                "scale": self.effective_scale()}
+                "scale": self.scale}
 
 
 class MembershipStatus(Enum):
@@ -243,7 +241,7 @@ class MembershipReport:
 @dataclass(frozen=True)
 class _TripletScan:
     """What `RealFn.scanner` returns: the sup of the image constants, also
-    over samples with an entry above half the scale (the top octave) and
+    over samples with an entry above x_max (the top octave) and
     over the rest, the first arg-max and the first infinite constant, each
     as (sample, images)."""
 
@@ -273,12 +271,19 @@ class _TripletScan:
             return None if self.overflowed else (*self.infinite, math.inf)
         return (*self.best, self.sup) if self.diverged else None
 
+    def refutes(self, target: ClassTag) -> bool:
+        """Whether `hit` refutes a class with this target kind: an image 0
+        refutes every class, a finite divergence only a scalar bound, since
+        a point-dependent bound table could still cover it."""
+        hit = self.hit
+        return hit is not None and (
+            math.isinf(hit[2]) or target is not ClassTag.EXTENDED_B_METRIC)
+
 
 def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
-    scale = budget.effective_scale()
-    return _TripletScan(*f.scanner(
-        islice(mixed_tuples(budget.seed, scale), budget.triplet_samples),
-        scale / 2.0))
+    samples = mixed_tuples(budget.seed, budget.scale)
+    return _TripletScan(*f.scanner(islice(samples, budget.triplet_samples),
+                                   budget.grid.x_max))
 
 
 class _Evidence:
@@ -377,7 +382,7 @@ def _decide(class_tag: ClassTag, evidence: _Evidence) -> MembershipReport:
                          f"relaxation constant {constant!r}"),
             lhs=max(images), rhs=min(images),
             data={"triplet": t, "images": images, "constant": constant})
-        if target is ClassTag.EXTENDED_B_METRIC:
+        if not scan.refutes(target):
             return report(
                 MembershipStatus.INCONCLUSIVE, None, witness, constants,
                 "image triplet constants diverge for every scalar bound, but "
@@ -437,26 +442,23 @@ class SearchWitness:
 def counterexample_search(f: RealFn, class_tag: ClassTag,
                           budget: Budget = Budget()
                           ) -> Optional[SearchWitness]:
-    """Search sampled triangle triplets for an image that defeats every
-    scalar bound (divergence across scale octaves, or an image 0 that makes
-    the constant infinite; a constant that only overflows is no witness).
+    """Search sampled triangle triplets for an image that refutes the class
+    (`_TripletScan.refutes`: an image 0, or a divergence unless the target
+    is the extended kind; a constant that only overflows is no witness).
 
     Absence of a witness is a normal empty return, not evidence of
     membership. A returned witness is realized in the plane, making it a
     concrete three-point metric space whose image violates the relaxation.
     """
     _require_supported(class_tag, "search for {!r} is not supported")
-    return _search_witness(_scan_image_triplets(f, budget), budget.seed)
-
-
-def _search_witness(scan: _TripletScan, seed: int) -> Optional[SearchWitness]:
-    if scan.hit is None:
+    scan = _scan_image_triplets(f, budget)
+    if not scan.refutes(CLASS_KINDS[class_tag][1]):
         return None
     t, images, constant = scan.hit
     u, v, w = realize_in_plane(Triplet(*t))
     return SearchWitness(triplet=t, images=images, constant=constant,
                          u=u, v=v, w=w, samples_used=scan.samples_used,
-                         seed=seed)
+                         seed=budget.seed)
 
 
 # --- theorem suite -----------------------------------------------------------------
@@ -648,10 +650,9 @@ def theorem_suite(seed: int = 0) -> SuiteReport:
     def step_function_is_relaxed_member(case):
         tag, evidence = case
         if tag is None:
-            witness = _search_witness(evidence.scan, evidence.budget.seed)
-            if witness is not None:
+            if evidence.scan.refutes(ClassTag.B_METRIC):  # what search reads
                 return ("search produced a spurious witness, constant "
-                        f"{witness.constant}")
+                        f"{evidence.scan.hit[2]}")
             return None
         rep = _decide(tag, evidence)
         if rep.status is not MembershipStatus.MEMBER:

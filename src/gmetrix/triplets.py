@@ -165,8 +165,8 @@ class GridStrategy:
 
 @dataclass(frozen=True)
 class _SeededStrategy:
-    """`count` triplets from seed `seed`, entries at most `scale`; the
-    largest sum of two entries, 2 * scale, must be a finite float."""
+    """`count` triplets (a, b, c) from seed `seed`: b and c in (0, scale],
+    a at most b + c, so up to 2 * scale, which must be a finite float."""
 
     seed: int
     count: int
@@ -180,7 +180,7 @@ class _SeededStrategy:
 
 
 class RandomStrategy(_SeededStrategy):
-    """Seeded random triplets with entries in (0, scale]."""
+    """Seeded random triangle triplets: b, c in (0, scale], a in (0, b + c]."""
 
 
 class BoundaryStrategy(_SeededStrategy):
@@ -233,9 +233,9 @@ def _boundary_triplets(seed: int, scale: float) -> Iterator[Sample]:
 
 def mixed_tuples(seed: int, scale: float) -> Iterator[Sample]:
     """The membership scan's unbounded stream: the grid sweep with step
-    scale / 20, then random triplets (entries up to scale) alternating with
-    boundary ones from seed + 1 (entries up to scale / 2). The caller checks
-    the scale as `Budget` does: 2 * scale finite, scale / 20 positive."""
+    scale / 20, then random triplets (b, c up to scale, a up to 2 * scale)
+    alternating with boundary ones from seed + 1 at scale / 2. The caller
+    checks the scale as `Budget` does: 2 * scale finite, scale / 20 > 0."""
     return chain(_grid_triplets(GridStrategy(step=scale / 20.0, max=scale)),
                  chain.from_iterable(zip(
                      _random_triplets(seed, scale),

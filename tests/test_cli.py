@@ -123,8 +123,7 @@ def test_fn_eval_rejects_negative_argument(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("member", "x", "--class", "B", "--x-max", "1e400"),
-    ("member", "x", "--class", "B", "--scale", "1e400"),
-    ("search", "x", "--class", "B", "--scale=-1e400"),
+    ("search", "x", "--class", "B", "--x-max=-1e400"),
     ("fn", "eval", "x", "--at", "1e400"),
     ("fn", "classify", "x", "--plateau-b", "1e400"),
     ("region", "check", "x", "--a", "1e400", "--b", "1", "--n", "1"),
@@ -140,7 +139,7 @@ def test_numeric_flag_overflow_is_a_usage_error(capsys, argv):
     ("fn", "eval", "x", "--at", "1e99999999"),
     ("fn", "eval", "x", "--at", "1e-99999999"),
     ("member", "x", "--class", "B", "--x-max", "1e999999999"),
-    ("search", "x", "--class", "B", "--scale", "1E999999999"),
+    ("search", "x", "--class", "B", "--x-max", "1E999999999"),
     ("region", "check", "x", "--a", "1", "--b", "0e999999999", "--n", "1"),
     ("realize", "1e999999999", "1", "1"),
 ])
@@ -531,8 +530,10 @@ def test_preserve_names_an_entry_past_the_float_and_digit_limits(capsys,
 
 
 @pytest.mark.parametrize("command", ["member", "search"])
-@pytest.mark.parametrize("flags", [("--scale", "5e-324"),
-                                   ("--x-max", "5e-324")])
+# the scale is 2 * x-max; the second is the largest x-max whose scale
+# still underflows
+@pytest.mark.parametrize("flags", [("--x-max", "5e-324"),
+                                   ("--x-max", "2.5e-323")])
 def test_triplet_scale_whose_twentieth_underflows_is_a_usage_error(
         capsys, command, flags):
     code, _, err = run(capsys, command, "x", "--class", "B", *flags,
@@ -640,11 +641,11 @@ def test_search_witness_and_absence(capsys):
 
 
 def test_search_witness_at_huge_scale(capsys):
-    # vanishes up to 1e199, so a triplet at scale 1e200 has an infinite
-    # constant; realizing it squares sides near 1e200
+    # vanishes up to 1e199, so a triplet at scale 1e200 (twice x-max) has
+    # an infinite constant; realizing it squares sides near 1e200
     source = "piece(x <= 1" + "0" * 199 + " ? 0 : x)"
     code, doc, _ = run(capsys, "search", source, "--class", "B",
-                       "--scale", "1e200", "--points", "10")
+                       "--x-max", "5e199", "--points", "10")
     assert code == 1
     assert doc["witness"]["constant"] == "inf"
     assert all(math.isfinite(coordinate)
@@ -678,8 +679,10 @@ def test_an_infinite_constant_is_written_as_inf(capsys):
 
 
 @pytest.mark.parametrize("command", ["member", "search"])
-@pytest.mark.parametrize("flags", [("--scale", "1e308"),
-                                   ("--x-max", "5e307")])
+# the scale is 2 * x-max; the second is the largest x-max the grid takes,
+# whose scale is the largest float
+@pytest.mark.parametrize("flags", [("--x-max", "5e307"),
+                                   ("--x-max", "8.988465674311579e307")])
 def test_triplet_scale_whose_double_overflows_is_a_usage_error(
         capsys, command, flags):
     code, _, err = run(capsys, command, "x", "--class", "B", *flags,
@@ -696,8 +699,8 @@ def test_triplet_scale_whose_double_overflows_is_a_usage_error(
      "n_points must be at least 2"),
     (("fn", "classify", "x", "--x-max", "1e308", "--points", "10"),
      "x_max 1e+308 overflows when doubled"),
-    (("member", "x", "--class", "B", "--x-max", "1e308", "--scale", "1",
-      "--points", "10"), "x_max 1e+308 overflows when doubled"),
+    (("member", "x", "--class", "B", "--x-max", "1e308", "--points", "10"),
+     "x_max 1e+308 overflows when doubled"),
     # only rejected counts are probed: an accepted one allocates its grid
     *((command + ("--points", points),
        f"n_points {points} exceeds the cap of 1000000")
@@ -725,6 +728,14 @@ def test_flag_defaults_are_the_spec_defaults():
         args = parser.parse_args(["region", command, "x", "--a", "1",
                                   "--b", "1", "--n", "3"])
         assert args.samples == gmetrix.RegionSpec(1, 1, 3).samples_per_interval
+
+
+@pytest.mark.parametrize("command", ["member", "search"])
+def test_scale_flag_is_refused(capsys, command):
+    # the scan's scale is 2 * x-max; no flag sets it apart from the grid
+    code, doc, err = run(capsys, command, "x", "--class", "B", "--scale", "1")
+    assert (code, doc) == (64, None)
+    assert "unrecognized arguments: --scale 1" in err
 
 
 def test_suite_is_reproducible(capsys):

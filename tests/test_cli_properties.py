@@ -212,8 +212,7 @@ def _flag_lists(flags):
 
 
 _PAST_SWEEP = st.integers(4582, 4700).map(str)
-_SCAN = {"--x-max": _NUMBERS, "--scale": _NUMBERS, "--seed": _SEEDS,
-         "--grid-seed": _SEEDS}
+_SCAN = {"--x-max": _NUMBERS, "--seed": _SEEDS, "--grid-seed": _SEEDS}
 
 
 @st.composite

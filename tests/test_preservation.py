@@ -1,5 +1,6 @@
 """Pushforwards, targeted preservation, membership, search, and the suite."""
 
+import functools
 import hashlib
 import json
 import math
@@ -131,28 +132,23 @@ def test_pushforward_float_path_fails_at_the_first_bad_entry():
 
 
 def test_budget_rejects_a_scale_whose_double_overflows():
-    with pytest.raises(PreconditionViolated, match="overflows when doubled"):
-        Budget(scale=1e308)
-    # the default scale is 2 * x_max
+    # the scale is 2 * x_max
     with pytest.raises(PreconditionViolated, match="overflows when doubled"):
         Budget(grid=GridSpec(x_max=5e307))
-    assert Budget(scale=8e307).effective_scale() == 8e307
+    assert Budget(grid=GridSpec(x_max=4e307)).scale == 8e307
 
 
 @pytest.mark.parametrize("fields, message", [
     ({"triplet_samples": 0}, "at least 1"),
     ({"triplet_samples": -1}, "at least 1"),
-    ({"scale": 0.0}, "positive and finite"),
-    ({"scale": -1.0}, "positive and finite"),
-    ({"scale": math.nan}, "positive and finite"),
-    ({"scale": math.inf}, "positive and finite"),
 ])
 def test_budget_rejects_out_of_range_fields(fields, message):
     # a zero-sample budget would let membership call a function a member
     # after scanning no triplet at all
     with pytest.raises(PreconditionViolated, match=message):
         Budget(**fields)
-    assert Budget(triplet_samples=1, scale=1e-300).triplet_samples == 1
+    assert Budget(triplet_samples=1,
+                  grid=GridSpec(x_max=5e-301)).triplet_samples == 1
 
 
 def test_preserve_square_fails_metric_but_holds_relaxed():
@@ -346,13 +342,17 @@ def test_member_and_search_read_one_scan_refutation(source, tag, samples,
         assert found is None
         return
     data = report.witness.data
-    assert (data["triplet"], data["images"],
-            report.constants["triplet_samples_used"]) \
-        == (found.triplet, found.images, found.samples_used)
-    assert (found.triplet, found.constant, found.samples_used) \
-        == (triplet, constant, used)
     # a zero witness names its x, not the infinite constant
-    assert data.get("constant", math.inf) == constant
+    assert (data["triplet"], data.get("constant", math.inf),
+            report.constants["triplet_samples_used"]) \
+        == (triplet, constant, used)
+    if status is MembershipStatus.INCONCLUSIVE:
+        # a finite divergence leaves the extended class open, so the search
+        # finds no witness against it either
+        assert found is None
+        return
+    assert (found.triplet, found.images, found.constant, found.samples_used) \
+        == (triplet, data["images"], constant, used)
 
 
 @pytest.mark.parametrize("tag", [ClassTag.B, ClassTag.EB, ClassTag.U,
@@ -515,35 +515,61 @@ PINNED_ANSWERS = {
 
 #: sha256 over the transcript that test_every_ladder_answer_is_pinned builds
 PINNED_TRANSCRIPT_SHA256 = (
-    "af251e2e4041f3190713c0c529db66db2610aa9a0dd224d008410ef08decfa32")
+    "429a553ac982d5d7fe235afb60e1217c4e2f1346ca6ae0719932a73fd67cee62")
+
+
+def _result_or_refusal(run, f, tag):
+    try:
+        return run(f, tag, RUNG_BUDGET)
+    except UnsupportedClass as err:
+        return str(err)
+
+
+@functools.cache
+def _pinned_runs():
+    """{(source, tag): (membership, search)} for every expression of
+    PINNED_ANSWERS under every function class, in ClassTag order, at
+    RUNG_BUDGET; each run is its result, or, for M and BM, its
+    UnsupportedClass message. Computed once for the tests that read it."""
+    runs = {}
+    for source in PINNED_ANSWERS:
+        f = parse_fn(source)
+        for tag in ClassTag:
+            if tag.is_function_class:
+                runs[source, tag] = tuple(
+                    _result_or_refusal(run, f, tag)
+                    for run in (membership, counterexample_search))
+    return runs
 
 
 def test_every_ladder_answer_is_pinned():
-    """Every expression of PINNED_ANSWERS under every function class, in
-    ClassTag order, at RUNG_BUDGET: `membership`, then
-    `counterexample_search`. Each adds its canonical JSON to one transcript,
-    or, for M and BM, its UnsupportedClass message. Both pins were taken
-    before the class definitions became one table. A change that alters an
-    answer on purpose (ROADMAP items 13, 16 and 20) updates PINNED_ANSWERS
-    and the hash, and lists each changed answer in CHANGES.md."""
-    classes = [tag for tag in ClassTag if tag.is_function_class]
+    """Every run of `_pinned_runs`, in order, adds its canonical JSON or its
+    refusal message to one transcript. PINNED_ANSWERS was taken before the
+    class definitions became one table, and the hash again when search
+    began to read its class. A change that alters an answer on purpose
+    (ROADMAP items 13, 16 and 20) updates PINNED_ANSWERS and the hash, and
+    lists each changed answer in CHANGES.md."""
     answers, digest = {}, hashlib.sha256()
-    for source in PINNED_ANSWERS:
-        f = parse_fn(source)
-        row = []
-        for tag in classes:
-            for run in (membership, counterexample_search):
-                try:
-                    result = run(f, tag, RUNG_BUDGET)
-                except UnsupportedClass as err:
-                    digest.update(str(err).encode())
-                    continue
-                if run is membership:
-                    row.append((result.status.value, result.basis))
-                digest.update(canonical_dumps(result).encode())
-        answers[source] = tuple(row)
+    for (source, _tag), (report, found) in _pinned_runs().items():
+        row = answers.setdefault(source, ())
+        if not isinstance(report, str):
+            answers[source] = row + ((report.status.value, report.basis),)
+        for result in (report, found):
+            digest.update((result if isinstance(result, str)
+                           else canonical_dumps(result)).encode())
     assert answers == PINNED_ANSWERS
     assert digest.hexdigest() == PINNED_TRANSCRIPT_SHA256
+
+
+@pytest.mark.parametrize("source, tag", [
+    pytest.param(source, tag, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 13: the extended class's sufficient route reads the "
+        "grid on [0, x_max] only, while the scan finds f(32) = 0"))
+        if (source, tag) == (VANISHES_PAST_GRID, ClassTag.EB) else ())
+    for source in PINNED_ANSWERS for tag in LADDER_CLASSES])
+def test_a_member_answer_meets_no_search_witness(source, tag):
+    report, found = _pinned_runs()[source, tag]
+    assert report.status is not MembershipStatus.MEMBER or found is None
 
 
 def test_search_finds_and_realizes_an_exponential_witness():

@@ -78,7 +78,7 @@ def oracle_scan(source, budget):
     constant)]); the scan stops at the first infinite constant."""
     f = PYTHON_FNS[source]
     seen, sup = [], Fraction(1)
-    for t in islice(scan_stream(budget.seed, budget.effective_scale()),
+    for t in islice(scan_stream(budget.seed, budget.scale),
                     budget.triplet_samples):
         images = tuple(f(v) for v in t)
         constant = brute_triplet_constant(*map(Fraction, images))
@@ -149,7 +149,7 @@ def test_search_stops_at_whichever_comes_first(source):
     # the scan evaluates each entry only when it reaches it, so the first
     # infinite constant ends it, and the first failing entry raises
     f = PYTHON_FNS[source]
-    stream = islice(scan_stream(BUDGET.seed, BUDGET.effective_scale()),
+    stream = islice(scan_stream(BUDGET.seed, BUDGET.scale),
                     BUDGET.triplet_samples)
     for used, t in enumerate(stream, 1):
         images = tuple(f(v) for v in t)
@@ -173,7 +173,7 @@ def oracle_bookkeeping(source, budget):
     best is the first sample whose constant is strictly above every one
     before it."""
     used, _, seen = oracle_scan(source, budget)
-    split = budget.effective_scale() / 2
+    split = budget.scale / 2
     sup = sup_top = sup_below = Fraction(0)
     best = None
     for t, images, constant in seen:

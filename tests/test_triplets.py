@@ -242,6 +242,22 @@ def test_mixed_stream_is_the_grid_then_random_and_boundary_in_turn():
     assert list(islice(mixed_tuples(9, scale), len(expected))) == expected
 
 
+@pytest.mark.parametrize("stream", [
+    lambda scale: sample_tuples(RandomStrategy(seed=0, count=20_000,
+                                               scale=scale)),
+    lambda scale: sample_tuples(BoundaryStrategy(seed=0, count=20_000,
+                                                 scale=scale)),
+    lambda scale: islice(mixed_tuples(0, scale), 20_000),
+], ids=["random", "boundary", "mixed"])
+def test_samplers_draw_b_and_c_up_to_the_scale_and_a_up_to_twice_it(stream):
+    # so the membership scan, whose scale is 2 * x_max, reaches 4 * x_max
+    scale = 40.0
+    samples = list(stream(scale))
+    assert all(0.0 < b <= scale and 0.0 < c <= scale
+               and 0.0 < a <= b + c <= 2 * scale for a, b, c in samples)
+    assert any(a > scale for a, _, _ in samples)
+
+
 def test_seeds_past_the_int_str_limit_still_draw():
     seed = 10 ** 5000  # str(seed) raises at the default digit limit
     for make in (RandomStrategy, BoundaryStrategy):
