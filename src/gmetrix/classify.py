@@ -9,10 +9,12 @@ The numeric policy is fixed here: `REL_TOL` for float comparisons, and
 ratios of `classify_fn` and the image-triplet constants of the membership
 scan both go through `diverged`, so the two screens cannot drift apart.
 
-The subadditivity pair loop runs in the expression's generated
-`pairs(schedule, value_at, split, tol)` (see dsl), which reads the lazy
-`sample_pairs` stream and returns its maxima and their first pairs; the
-verdicts and witnesses are built here.
+A profile (`FnProfile`) evaluates f at every sample point when it is made
+and runs each screen the first time it is read, so the membership ladder
+pays only for the screens its deciding rung reads. The subadditivity pair
+loop runs in the expression's generated `pairs(schedule, value_at, split,
+tol)` (see dsl), which reads the lazy `sample_pairs` stream and returns its
+maxima and their first pairs; the verdicts and witnesses are built here.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterator, Optional
 
 from .dsl import RealFn
 from .errors import PreconditionViolated, exact_text
-from .model import Verdict, Witness, fails, fields_to_json, holds, inconclusive
+from .model import (Verdict, Witness, encode_value, fails, fields_to_json,
+                    holds, inconclusive)
 
 #: Relative tolerance used by float-side comparisons (monotonicity, defects,
 #: plateaus, region bounds). Exact rational paths never use it.
@@ -117,24 +121,92 @@ def sample_pairs(grid: GridSpec, points: list[float]
         yield (positive[i], positive[j])
 
 
-@dataclass(frozen=True)
 class FnProfile:
-    """Classification record for one function expression on one grid."""
+    """Classification record for one function expression on one grid: f's
+    values at the sample points, taken when it is made, and each screen,
+    computed the first time it is read and then kept."""
 
-    source: str
-    grid: GridSpec
-    amenable: Verdict
-    increasing: Verdict
-    subadditive: Verdict
-    quasi_subadditive: Verdict
-    limit_at_zero: Optional[float]
-    plateau: Optional[tuple[float, float]]  # (value a, edge b), if verified
+    def __init__(self, f: RealFn, grid: GridSpec = DEFAULT_GRID,
+                 plateau_b: Optional[float] = None):
+        self.f = f
+        self.source = f.source
+        self.grid = grid
+        self.plateau_b = plateau_b
+        self._points = sample_points(grid)
+        self._value_at = _point_values(f, self._points)
+
+    @cached_property
+    def amenable(self) -> Verdict:
+        return _amenability(self._value_at)
+
+    @cached_property
+    def increasing(self) -> Verdict:
+        return _monotonicity(self._points, self._value_at)
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """(pair_count, max_defect, defect_at, defect_violates, sup_ratio,
+        sup_top, sup_below, ratio_at) from the emitted pair loop."""
+        return self.f.pairer(sample_pairs(self.grid, self._points),
+                             self._value_at, self.grid.x_max, REL_TOL)
+
+    @cached_property
+    def subadditive(self) -> Verdict:
+        # one pass of the pair loop feeds both subadditivity views, and a
+        # witness is built only for a failing verdict
+        pair_count, max_defect, defect_at, defect_violates = self._pairs[:4]
+        if not defect_violates:
+            return holds({"max_defect": max_defect}, note=(
+                f"no defect above tolerance on {pair_count} pairs"))
+        a, b, fa, fb, fab = defect_at
+        return fails(Witness(
+            description=(f"f({a!r} + {b!r}) = {fab!r} > "
+                         f"{fa + fb!r} = f({a!r}) + f({b!r})"),
+            lhs=fab, rhs=fa + fb,
+            data={"a": a, "b": b, "f_a": fa, "f_b": fb, "f_sum": fab,
+                  "defect": max_defect}), {"max_defect": max_defect})
+
+    @cached_property
+    def quasi_subadditive(self) -> Verdict:
+        pair_count = self._pairs[0]
+        sup_ratio, sup_top, sup_below, ratio_at = self._pairs[4:]
+        s_star = max(1.0, sup_ratio)
+        if not diverged(sup_ratio, sup_top, sup_below):
+            return inconclusive(
+                note=(f"largest ratio {s_star!r} on {pair_count} pairs; "
+                      "no divergence across scale octaves"),
+                constants={"s_star_estimate": s_star})
+        a, b, fa, fb, fab = ratio_at
+        return fails(Witness(
+            description=(f"f({a!r} + {b!r}) / (f({a!r}) + f({b!r})) "
+                         f"= {sup_ratio!r}"),
+            lhs=fab, rhs=fa + fb,
+            data={"a": a, "b": b, "f_a": fa, "f_b": fb,
+                  "f_sum": fab, "ratio": sup_ratio}),
+            {"s_star_estimate": s_star, "sup_top_octave": sup_top,
+             "sup_below": sup_below})
+
+    @cached_property
+    def limit_at_zero(self) -> Optional[float]:
+        return _limit_at_zero(self._value_at, self.grid.x_max)
+
+    @cached_property
+    def plateau(self) -> Optional[tuple[float, float]]:
+        """(value a, edge b), if verified on the requested edge."""
+        if self.plateau_b is None:
+            return None
+        return verify_plateau(self.f, self.plateau_b)
 
     @property
     def s_star_estimate(self) -> float:
         return float(self.quasi_subadditive.constants["s_star_estimate"])
 
-    to_json = fields_to_json
+    def to_json(self):
+        # reads every screen in key order: an error at a pair sum raises
+        # before one in the plateau check
+        return {name: encode_value(getattr(self, name)) for name in (
+            "source", "grid", "amenable", "increasing", "subadditive",
+            "quasi_subadditive", "limit_at_zero", "plateau")}
 
 
 def _geometric_tail(top: float, floor: float) -> list[float]:
@@ -242,64 +314,18 @@ def _limit_at_zero(value_at: dict[float, float],
     return None
 
 
+
 def classify_fn(f: RealFn, grid: GridSpec = DEFAULT_GRID,
                 plateau_b: Optional[float] = None) -> FnProfile:
     """Profile f on the grid: amenability, monotonicity, subadditivity, and
     the quasi-subadditivity estimate with the shared divergence rule.
 
     Evaluation errors (domain, codomain, overflow) propagate with the
-    offending x. Deterministic for fixed (f, grid): reports serialize to
-    byte-identical JSON across runs.
+    offending x. An error at a sample point raises here; one at a pair sum
+    raises from the first read of `subadditive` or `quasi_subadditive`, and
+    one in the plateau check from the first read of `plateau`. `to_json`
+    reads every screen, so it raises the first error of the whole profile.
+    Deterministic for fixed (f, grid): reports serialize to byte-identical
+    JSON across runs.
     """
-    points = sample_points(grid)
-    value_at = _point_values(f, points)
-    amenable = _amenability(value_at)
-    increasing = _monotonicity(points, value_at)
-
-    # one pass over the pair schedule feeds both subadditivity views; a
-    # witness is built only for a failing verdict
-    (pair_count, max_defect, defect_at, defect_violates, sup_ratio, sup_top,
-     sup_below, ratio_at) = f.pairer(sample_pairs(grid, points), value_at,
-                                     grid.x_max, REL_TOL)
-
-    if defect_violates:
-        a, b, fa, fb, fab = defect_at
-        witness = Witness(
-            description=(f"f({a!r} + {b!r}) = {fab!r} > "
-                         f"{fa + fb!r} = f({a!r}) + f({b!r})"),
-            lhs=fab, rhs=fa + fb,
-            data={"a": a, "b": b, "f_a": fa, "f_b": fb, "f_sum": fab,
-                  "defect": max_defect})
-        subadditive = fails(witness, {"max_defect": max_defect})
-    else:
-        subadditive = holds({"max_defect": max_defect},
-                            note=f"no defect above tolerance on {pair_count} pairs")
-
-    s_star = max(1.0, sup_ratio)
-    if diverged(sup_ratio, sup_top, sup_below):
-        a, b, fa, fb, fab = ratio_at
-        witness = Witness(
-            description=(f"f({a!r} + {b!r}) / (f({a!r}) + f({b!r})) "
-                         f"= {sup_ratio!r}"),
-            lhs=fab, rhs=fa + fb,
-            data={"a": a, "b": b, "f_a": fa, "f_b": fb,
-                  "f_sum": fab, "ratio": sup_ratio})
-        quasi = fails(witness, {"s_star_estimate": s_star,
-                                "sup_top_octave": sup_top,
-                                "sup_below": sup_below})
-    else:
-        quasi = inconclusive(
-            note=(f"largest ratio {s_star!r} on {pair_count} pairs; "
-                  "no divergence across scale octaves"),
-            constants={"s_star_estimate": s_star})
-
-    return FnProfile(
-        source=f.source,
-        grid=grid,
-        amenable=amenable,
-        increasing=increasing,
-        subadditive=subadditive,
-        quasi_subadditive=quasi,
-        limit_at_zero=_limit_at_zero(value_at, grid.x_max),
-        plateau=None if plateau_b is None else verify_plateau(f, plateau_b),
-    )
+    return FnProfile(f, grid, plateau_b)

@@ -166,12 +166,15 @@ class Budget:
     def __post_init__(self) -> None:
         if self.triplet_samples < 1:
             raise PreconditionViolated("triplet_samples must be at least 1")
+        # each message names x_max, which sets the scale
+        reach = (f"x_max {self.grid.x_max!r} makes the triplet scale "
+                 f"{self.scale!r}")
         if math.isinf(2.0 * self.scale):  # b + c reaches twice the scale
             raise PreconditionViolated(
-                f"triplet scale {self.scale!r} overflows when doubled")
+                f"{reach}, which overflows when doubled")
         if self.scale / 20.0 == 0.0:  # the step of mixed_tuples' grid sweep
             raise PreconditionViolated(
-                f"triplet scale {self.scale!r} underflows when divided by 20")
+                f"{reach}, which underflows when divided by 20")
 
     @property
     def scale(self) -> float:
@@ -288,9 +291,11 @@ def _scan_image_triplets(f: RealFn, budget: Budget) -> _TripletScan:
 
 class _Evidence:
     """What the membership ladder reads about one function under one budget:
-    its grid profile, and the image-triplet scan, run when a rung first
-    needs it (the extended class's sufficient route never does). Deciding
-    several classes from one record computes each only once."""
+    its grid profile, whose f values are computed here, and the
+    image-triplet scan. The profile's screens, like the scan, run when a
+    rung first reads them (the amenability rung reads no pair, and the
+    extended class's sufficient route runs no scan). Deciding several
+    classes from one record computes each only once."""
 
     def __init__(self, f: RealFn, budget: Budget):
         self.f = f

@@ -157,21 +157,25 @@ def test_nonzero_origin_fails_amenability_at_zero():
 
 
 def test_first_evaluation_error_follows_the_screens_order():
-    # 0, then the probe 1.0 while f(0) = 0, then the rest ascending, then
-    # the pair sums in schedule order
+    # 0, then the probe 1.0 while f(0) = 0, then the rest ascending, all
+    # when the profile is made; then the pair sums in schedule order, when
+    # a subadditivity screen is first read (to_json reads every screen)
     grid = GridSpec(x_max=10.0, n_points=100, seed=1)
     after_1 = sample_points(grid)[sample_points(grid).index(1.0) + 1]
     cases = [("piece(x < 0.5 ? x : 1/(x - 1))", DomainError, 1.0),
              ("piece(x < 0.5 ? 1 : 1/(x - 1))", OutOfCodomain,
               min(p for p in sample_points(grid) if p >= 0.5)),
-             ("piece(x <= 1 ? x : x - 100)", OutOfCodomain, after_1),
-             ("piece(x <= 10 ? x : x - 100)", OutOfCodomain,
-              next(a + b for a, b in sample_pairs(grid, sample_points(grid))
-                   if a + b > 10.0))]
+             ("piece(x <= 1 ? x : x - 100)", OutOfCodomain, after_1)]
     for source, error, x in cases:
         with pytest.raises(error) as excinfo:
             classify_fn(parse_fn(source), grid)
         assert excinfo.value.x == x, source
+    profile = classify_fn(parse_fn("piece(x <= 10 ? x : x - 100)"), grid)
+    with pytest.raises(OutOfCodomain) as excinfo:
+        profile.to_json()
+    assert excinfo.value.x == next(
+        a + b for a, b in sample_pairs(grid, sample_points(grid))
+        if a + b > 10.0)
 
 
 def test_decreasing_stretch_is_caught():
@@ -332,8 +336,9 @@ def test_pair_loop_failing_part_way_raises_as_eval_fn_does():
     x = sum(pairs[first])
     with pytest.raises(EvalError) as expected:
         eval_fn(f, x)
+    profile = classify_fn(f, grid)
     with pytest.raises(EvalError) as excinfo:
-        classify_fn(f, grid)
+        profile.to_json()
     assert type(excinfo.value) is type(expected.value) is DomainError
     assert (str(excinfo.value), excinfo.value.x) \
         == (str(expected.value), x)

@@ -496,6 +496,20 @@ def test_member_exit_codes_of_the_scan_rungs(capsys, source, klass, code,
     assert (got, doc["basis"]) == (code, basis)
 
 
+def test_amenability_refutes_before_the_pair_loop_raises(capsys):
+    # f(0) = 1 refutes every class at the first rung, which reads no pair,
+    # so the pair sum past 20 that fn classify stops at is never evaluated
+    source = "piece(x <= 20 ? x + 1 : x - 100)"
+    code, doc, _ = run(capsys, "member", source, "--class", "B")
+    assert (code, doc["basis"]) == (1, gmetrix.BASIS_AMENABILITY)
+    assert doc["witness"]["description"] \
+        == "f(0) = 1.0 but amenability needs f(0) = 0"
+    code, doc, err = run(capsys, "fn", "classify", source)
+    assert (code, doc) == (2, None)
+    assert err.startswith("undecidable input: value -79.98999499749875 is "
+                          "negative (at x = 20.01000500250125)")
+
+
 #: the largest seed --seed reads (int() takes up to 4,300 digits)
 _HUGE_SEED = "9" * 4300
 
@@ -540,6 +554,7 @@ def test_triplet_scale_whose_twentieth_underflows_is_a_usage_error(
                        "--points", "10", "--samples", "10")
     assert code == 64
     assert "underflows when divided by 20" in err
+    assert f"x_max {float(flags[1])!r}" in err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -689,6 +704,7 @@ def test_triplet_scale_whose_double_overflows_is_a_usage_error(
                        "--points", "10", "--samples", "10")
     assert code == 64
     assert "usage error" in err and "overflows" in err
+    assert f"x_max {float(flags[1])!r}" in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -905,9 +921,10 @@ def test_scanner_compiles_only_when_a_scan_runs(capsys, monkeypatch, tmp_path):
                      "--target", "metric")
     assert code == 0
     assert ["scanner" in f.__dict__ for f in parsed] == [False] * 5
-    # the profile's pair loop, likewise, only where a profile runs
+    # the profile's pair loop, likewise, only where a pair screen is read:
+    # the amenability rung that refutes "0" reads none
     assert ["pairer" in f.__dict__ for f in parsed] \
-        == [True, True, True, False, False]
+        == [True, False, True, False, False]
 
     _, doc, _ = run(capsys, "member", "x", "--class", "B", "--points", "500",
                     "--samples", "10")

@@ -26,6 +26,7 @@ from gmetrix import (
     canonical_dumps,
     check_identity,
     check_triangle,
+    classify_fn,
     counterexample_search,
     is_s_triplet,
     membership,
@@ -34,6 +35,7 @@ from gmetrix import (
     preserve_check,
     pushforward,
     random_space,
+    sample_points,
     sample_triplets,
     theorem_suite,
 )
@@ -374,8 +376,9 @@ LADDER_CLASSES = (ClassTag.U, ClassTag.DU, ClassTag.B, ClassTag.MB,
 def _ladder_outcomes(f):
     """Each class's report JSON without "class", or the type and message of
     the evaluation error that stopped it, all decided from one evidence
-    record. An error of the grid profile stops every class; one of the scan
-    stops every class that reaches it."""
+    record. An error at a grid sample point stops every class, one in the
+    profile's pair loop every class that reaches rung 2, and one of the
+    scan every class that reaches it."""
     try:
         evidence = preservation._Evidence(f, RUNG_BUDGET)
     except EvalError as err:
@@ -658,6 +661,31 @@ def test_theorem_suite_compiles_each_scanner_at_most_once(monkeypatch):
     assert theorem_suite(seed=0).all_passed
     # one scanner for each of the suite's 7 scans, none compiled twice
     assert (len(compiled), max(compiled.values())) == (7, 1)
+
+
+def test_profile_screens_run_once_and_only_when_read(monkeypatch):
+    # "0" is refuted at the amenability rung, which reads f over the sample
+    # set and no pair
+    f = parse_fn("0")
+    run, runs = f.runner, []
+    monkeypatch.setitem(vars(f), "runner",
+                        lambda xs: run(runs.append(list(xs)) or runs[-1]))
+    monkeypatch.setitem(vars(f), "pairer",
+                        lambda *args: pytest.fail("the pair loop ran"))
+    assert membership(f, ClassTag.B).basis == BASIS_AMENABILITY
+    assert sorted(x for xs in runs for x in xs) \
+        == sample_points(Budget().grid)
+    # one pair loop feeds both subadditivity views, and to_json reruns none
+    f = parse_fn("sqrt(x)")
+    pairer, pairs = f.pairer, []
+    monkeypatch.setitem(vars(f), "pairer",
+                        lambda *args: pairs.append(args) or pairer(*args))
+    profile = classify_fn(f, FAST.grid)
+    assert pairs == []
+    assert profile.quasi_subadditive.status.value == "inconclusive"
+    assert profile.subadditive.holds
+    profile.to_json()
+    assert len(pairs) == 1
 
 
 @pytest.mark.parametrize("name,source", FUNCTION_CATALOG)
